@@ -5,7 +5,6 @@ __version__ = "0.1.0"
 from .rationals import (
     ONE,
     BinaryExpansion,
-    binary_to_rational,
     format_rational,
     parse_rational,
     rational_to_binary,
@@ -74,7 +73,6 @@ __all__ = [
     "PsiTilde",
     "address_to_point",
     "audit_counts",
-    "binary_to_rational",
     "brute_force_commuting",
     "claims_audit",
     "classify_solution",

@@ -55,6 +55,13 @@ def _rational(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(str(exc))
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
 def _start_pair(text: str) -> tuple[int, int]:
     try:
         depth, index = text.split(",")
@@ -279,12 +286,12 @@ def build_parser() -> argparse.ArgumentParser:
     pe = com.add_parser("enumerate", help="exhaustive table enumeration")
     pe.add_argument("--n", type=int, required=True)
     pe.add_argument("--x0", type=_rational, default=None)
-    pe.add_argument("--workers", type=int, default=1)
+    pe.add_argument("--workers", type=_positive_int, default=1)
     _add_output(pe)
     pe.set_defaults(handler=_cmd_commutants_enumerate)
     pa = com.add_parser("audit", help="count formulas vs the enumeration oracle")
     pa.add_argument("--n", type=int, required=True)
-    pa.add_argument("--workers", type=int, default=1)
+    pa.add_argument("--workers", type=_positive_int, default=1)
     _add_output(pa)
     pa.set_defaults(handler=_cmd_commutants_audit)
 
@@ -330,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("audit", help="recompute and verdict every audited claim")
     p.add_argument("--max-n", type=int, default=3, dest="max_n")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=_positive_int, default=1)
     _add_output(p)
     p.set_defaults(handler=_cmd_audit)
 

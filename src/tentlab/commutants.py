@@ -276,6 +276,8 @@ def brute_force_commuting(
     product when it is feasible.  Output is canonically sorted and independent
     of the worker count.
     """
+    if x0 is not None and x0 not in (ZERO, TWO_THIRDS):
+        raise ValueError(f"x0 must be a fixed point of the tent, 0 or 2/3, got {x0}")
     if method == "auto":
         method = "product" if n <= _PRODUCT_BOUND else "chain"
     bases = (ZERO, TWO_THIRDS) if x0 is None else (x0,)

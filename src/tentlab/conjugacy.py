@@ -3,12 +3,16 @@
 Starting from the identity, one step sends h to ``v*h(2x)`` on the left half
 and ``1 - (1-v)*h(2-2x)`` on the right; the iterates pin down the conjugacy on
 ever finer dyadic grids (a point of the depth-n grid never moves again after
-step n).  Piece heights of the n-th iterate form the multiset
-``v**a * (1-v)**(n-a)`` with binomial multiplicity, which the aggregate
-diagnostics exploit: graph length and the measure of steep pieces are computed
-from big-integer binomials and only touch floating point in the final
-guarded summation, so they stay meaningful at depths (n in the thousands)
-where no explicit table could exist.
+step n).  Both diagnostics, graph length and the measure of steep pieces,
+are sums over the ``2**n`` dyadic pieces of the n-th iterate, and ``_pieces``
+is the one walk over them.  It yields ``(count, slope)`` pairs, read off the
+breakpoint table in explicit mode or taken from the binomial profile (slope
+``(2v)**a (2(1-v))**(n-a)``, ``C(n, a)`` times) in aggregate mode, which stays
+meaningful at depths (n in the thousands) where no table could exist.  Slopes
+rather than rises are carried: the threshold test then compares against the
+threshold itself, not against ``threshold / 2**n``, and a piece's length
+``2**-n * sqrt(1 + slope**2)`` leaves its factor ``2**-n`` to ``_term`` as an
+exponent shift, so floating point enters only in the final guarded summation.
 
 Everything exact stays exact: tables, slope measures and gap statistics are
 Fractions; only graph length (an honest irrational) is returned as a float.
@@ -22,7 +26,6 @@ from fractions import Fraction
 from typing import Sequence
 
 from .limits import check_depth
-from .piecewise import PiecewiseLinearMap
 from .rationals import HALF, UNIT, ZERO, dyadic_fraction
 from .tent import inverse_branch
 
@@ -57,9 +60,6 @@ class ConjugacyIterate:
         return tuple(
             (self.abscissa(k), y) for k, y in enumerate(self.ordinates)
         )
-
-    def plm(self) -> PiecewiseLinearMap:
-        return PiecewiseLinearMap(self.breakpoints())
 
 
 def identity_iterate(v: Fraction) -> ConjugacyIterate:
@@ -132,32 +132,36 @@ def conjugate_point(word: Sequence[int], v: Fraction) -> Fraction:
     return x
 
 
-@dataclass(frozen=True)
-class SlopeProfile:
-    """Multiset of piece heights of the n-th iterate, as (a, n-a, count).
+def _pieces(n: int, v: Fraction, mode: str, caller: str):
+    """(count, slope) over the pieces of the n-th iterate, lazily.
 
-    The height v**a * (1-v)**(n-a) occurs C(n, a) times; counts sum to 2**n
-    and the height-weighted sum telescopes to 1 exactly.
+    Explicit mode reads each piece's slope off the breakpoint table; aggregate
+    mode runs the binomial recurrence: slope ``(2v)**a (2(1-v))**(n-a)`` with
+    multiplicity ``C(n, a)``.  Arguments and depth guards are checked here,
+    before the first piece is asked for.
     """
-
-    n: int
-    v: Fraction
-    entries: tuple[tuple[int, int, int], ...]
-
-    def heights(self):
-        w = 1 - self.v
-        for a, b, count in self.entries:
-            yield self.v**a * w**b, count
-
-
-def slope_profile(n: int, v: Fraction) -> SlopeProfile:
     _check_vertex(v)
     if n < 0:
         raise ValueError(f"iterate index must be nonnegative, got {n}")
-    check_depth(n, _AGGREGATE_BOUND, "slope_profile")
-    return SlopeProfile(
-        n=n, v=v, entries=tuple((a, n - a, math.comb(n, a)) for a in range(n + 1))
-    )
+    if mode == "explicit":
+        ys = iterate_to(n, v).ordinates
+        scale = 1 << n
+        return ((1, (y1 - y0) * scale) for y0, y1 in zip(ys, ys[1:]))
+    if mode != "aggregate":
+        raise ValueError(f"mode must be 'explicit' or 'aggregate', got {mode!r}")
+    check_depth(n, _AGGREGATE_BOUND, f"{caller}[aggregate]")
+
+    def binomial():
+        w = 1 - v
+        ratio = v / w
+        count, slope = 1, (2 * w) ** n
+        yield count, slope
+        for a in range(n):
+            slope *= ratio
+            count = count * (n - a) // (a + 1)
+            yield count, slope
+
+    return binomial()
 
 
 def _sqrt_parts(fr: Fraction) -> tuple[float, int]:
@@ -171,46 +175,27 @@ def _sqrt_parts(fr: Fraction) -> tuple[float, int]:
     return math.sqrt(scaled), e2 // 2
 
 
-def _term(count: int, fr: Fraction) -> float:
-    """count * sqrt(fr) as a float, exponents tracked outside the mantissas."""
+def _term(count: int, fr: Fraction, shift: int) -> float:
+    """count * sqrt(fr) * 2**shift as a float, exponents tracked outside the
+    mantissas."""
     root, e = _sqrt_parts(fr)
     drop = max(count.bit_length() - 53, 0)
-    return math.ldexp((count >> drop) * root, e + drop)
+    return math.ldexp((count >> drop) * root, e + drop + shift)
 
 
 def graph_length(n: int, v: Fraction, mode: str = "aggregate") -> float:
     """Length of the n-th iterate's graph.
 
-    Explicit mode walks the breakpoint polyline; aggregate mode sums
-    ``C(n,a) * sqrt(4**-n + (v**a (1-v)**(n-a))**2)`` and reaches depths no
-    table could.  Radicands are exact; floats enter only at the final fsum.
+    Each piece of width ``2**-n`` and slope s has length
+    ``2**-n * sqrt(1 + s**2)``; explicit mode takes the slopes from the
+    breakpoint table, aggregate mode from the binomial profile and reaches
+    depths no table could.  Radicands are exact; floats enter only at the
+    final fsum.
     """
-    _check_vertex(v)
-    if n < 0:
-        raise ValueError(f"iterate index must be nonnegative, got {n}")
-    if mode == "explicit":
-        cur = iterate_to(n, v)
-        width_sq = Fraction(1, 1 << (2 * n))
-        terms = [
-            _term(1, width_sq + (y1 - y0) ** 2)
-            for y0, y1 in zip(cur.ordinates, cur.ordinates[1:])
-        ]
-        return math.fsum(terms)
-    if mode != "aggregate":
-        raise ValueError(f"mode must be 'explicit' or 'aggregate', got {mode!r}")
-    check_depth(n, _AGGREGATE_BOUND, "graph_length[aggregate]")
-    width_sq = Fraction(1, 1 << (2 * n))
-    w = 1 - v
-    height = w**n
-    ratio = v / w
-    count = 1
-    terms = []
-    for a in range(n + 1):
-        terms.append(_term(count, width_sq + height * height))
-        if a < n:
-            height *= ratio
-            count = count * (n - a) // (a + 1)
-    return math.fsum(terms)
+    return math.fsum(
+        _term(count, 1 + slope * slope, -n)
+        for count, slope in _pieces(n, v, mode, "graph_length")
+    )
 
 
 def slope_measure(
@@ -218,34 +203,8 @@ def slope_measure(
 ) -> Fraction:
     """Exact measure of the dyadic pieces where the iterate is at least as
     steep as the threshold."""
-    _check_vertex(v)
-    if n < 0:
-        raise ValueError(f"iterate index must be nonnegative, got {n}")
-    if mode == "explicit":
-        cur = iterate_to(n, v)
-        scale = 1 << n
-        hits = sum(
-            1
-            for y0, y1 in zip(cur.ordinates, cur.ordinates[1:])
-            if abs(y1 - y0) * scale >= threshold
-        )
-        return Fraction(hits, scale)
-    if mode != "aggregate":
-        raise ValueError(f"mode must be 'explicit' or 'aggregate', got {mode!r}")
-    check_depth(n, _AGGREGATE_BOUND, "slope_measure[aggregate]")
-    two_v = 2 * v
-    two_w = 2 - 2 * v
-    slope = two_w**n
-    ratio = two_v / two_w
-    count = 1
-    hits = 0
-    for a in range(n + 1):
-        if slope >= threshold:
-            hits += count
-        if a < n:
-            slope *= ratio
-            count = count * (n - a) // (a + 1)
-    return Fraction(hits, 1 << n)
+    pieces = _pieces(n, v, mode, "slope_measure")
+    return Fraction(sum(count for count, slope in pieces if slope >= threshold), 1 << n)
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,10 @@ def check_depth(n: int, default_bound: int, what: str) -> None:
     bound = default_bound
     override = os.environ.get(ENV_VAR)
     if override is not None:
-        bound = int(override)
+        try:
+            bound = int(override)
+        except ValueError:
+            raise ValueError(f"{ENV_VAR} must be an integer, got {override!r}") from None
     if n > bound:
         raise DepthLimitError(
             f"{what}: depth {n} exceeds bound {bound} (set {ENV_VAR} to override)"

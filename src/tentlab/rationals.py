@@ -73,28 +73,6 @@ def format_rational(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
-def rat_arith(a: Fraction, b: Fraction, op: str):
-    """Exact rational arithmetic dispatch: add, sub, mul, div or cmp.
-
-    ``cmp`` returns -1/0/1; everything else returns a reduced Fraction.
-    Kept as a named surface so the arithmetic contract stays testable against
-    an independent cross-multiplication oracle.
-    """
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        if b == 0:
-            raise ZeroDivisionError("rational division by zero")
-        return a / b
-    if op == "cmp":
-        return (a > b) - (a < b)
-    raise ValueError(f"unknown operation {op!r}")
-
-
 def fraction_from_reduced(num: int, den: int) -> Fraction:
     """Build a Fraction from an already-reduced num/den, skipping the
     generic constructor's normalization.  den must be positive and coprime
@@ -325,22 +303,3 @@ def rational_to_binary(q: Fraction) -> BinaryExpansion:
     n = multiplicative_order_of_two(m)
     repeating = rem * (((1 << n) - 1) // m)
     return BinaryExpansion._from_canonical(head, a, repeating, n)
-
-
-def binary_to_rational(b: BinaryExpansion) -> Fraction:
-    """Exact value of a binary expansion (inverse of rational_to_binary)."""
-    return b.value()
-
-
-def unit_to_rational(u) -> Fraction:
-    """Value of a point of the closed unit interval (expansion or ONE)."""
-    if u is ONE:
-        return UNIT
-    return u.value()
-
-
-def rational_to_unit(q: Fraction):
-    """Encode a rational in [0, 1]: ONE for the endpoint, expansion otherwise."""
-    if q == 1:
-        return ONE
-    return rational_to_binary(q)

@@ -233,6 +233,7 @@ def linearity_probe(
         raise ValueError(f"bad start interval ({p}, {k})")
     if depth_budget < p:
         raise ValueError("depth budget below start depth")
+    check_depth(depth_budget, _SECANT_DEPTH_BOUND, "linearity_probe")
     t = _slope(g, p, k)
     if t == 0:
         raise ValueError("start interval has zero secant slope")

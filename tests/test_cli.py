@@ -187,6 +187,32 @@ class TestErrors:
         cp = tentlab("preimages", "--n", "30", "--kind", "A", check=False)
         assert cp.returncode == 2
 
+    def test_probe_depth_guard_is_usage_error(self):
+        cp = tentlab("probe", "--k", "3", "--start", "1,0", "--depth", "60", check=False)
+        assert cp.returncode == 2
+        assert "linearity_probe" in cp.stderr
+
+    def test_non_fixed_base_value_is_usage_error(self):
+        cp = tentlab("commutants", "enumerate", "--n", "2", "--x0", "1/2", check=False)
+        assert cp.returncode == 2
+        assert "x0" in cp.stderr and cp.stdout == ""
+
+    def test_nonpositive_workers_are_usage_errors(self):
+        for command in (("commutants", "enumerate"), ("commutants", "audit")):
+            for workers in ("0", "-3"):
+                cp = tentlab(*command, "--n", "1", "--workers", workers, check=False)
+                assert cp.returncode == 2
+                assert "--workers" in cp.stderr
+        cp = tentlab("audit", "--max-n", "1", "--workers", "0", check=False)
+        assert cp.returncode == 2
+        assert "--workers" in cp.stderr
+
+    def test_malformed_depth_override_is_usage_error(self, monkeypatch):
+        monkeypatch.setenv("TENTLAB_MAX_DEPTH", "abc")
+        cp = tentlab("preimages", "--n", "2", "--kind", "A", check=False)
+        assert cp.returncode == 2
+        assert "TENTLAB_MAX_DEPTH" in cp.stderr
+
     def test_csv_table(self):
         cp = tentlab("conjugacy", "table", "--v", "1/4", "--n", "1", "--format", "csv")
         assert cp.stdout == "x,h\n0/1,0/1\n1/2,1/4\n1/1,1/1\n"

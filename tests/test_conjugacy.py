@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from tentlab.conjugacy import (
+    _pieces,
     conjugacy_value,
     conjugate_point,
     density_probe,
@@ -13,7 +14,6 @@ from tentlab.conjugacy import (
     identity_iterate,
     iterate_to,
     slope_measure,
-    slope_profile,
 )
 from tentlab.limits import DepthLimitError
 from tentlab.tent import address_to_point, grid_points, skew_tent, tent
@@ -167,21 +167,57 @@ class TestSlopeMeasure:
     def test_profile_invariants(self):
         for v in VS:
             for n in (0, 1, 4, 9):
-                profile = slope_profile(n, v)
-                assert sum(c for _, _, c in profile.entries) == 1 << n
-                assert sum(h * c for h, c in profile.heights()) == 1
+                for mode in ("explicit", "aggregate"):
+                    pieces = list(_pieces(n, v, mode, "test"))
+                    assert sum(c for c, _ in pieces) == 1 << n
+                    assert sum(c * s for c, s in pieces) == 1 << n
 
     def test_profile_matches_explicit_heights(self):
         for v in VS:
             for n in (1, 4, 8):
-                table = iterate_to(n, v)
-                explicit = sorted(
-                    b - a for a, b in zip(table.ordinates, table.ordinates[1:])
-                )
+                explicit = sorted(s for _, s in _pieces(n, v, "explicit", "test"))
                 profile = sorted(
-                    h for h, c in slope_profile(n, v).heights() for _ in range(c)
+                    s for c, s in _pieces(n, v, "aggregate", "test") for _ in range(c)
                 )
                 assert explicit == profile
+
+    def test_pieces_checks_eagerly(self, monkeypatch):
+        with pytest.raises(ValueError, match="vertex"):
+            _pieces(3, F(1), "aggregate", "test")
+        with pytest.raises(ValueError, match="nonnegative"):
+            _pieces(-1, F(1, 4), "explicit", "test")
+        with pytest.raises(ValueError, match="mode"):
+            _pieces(3, F(1, 4), "bogus", "test")
+        monkeypatch.setenv("TENTLAB_MAX_DEPTH", "4")
+        with pytest.raises(DepthLimitError, match=r"^graph_length\[aggregate\]"):
+            graph_length(5, F(1, 4))
+        with pytest.raises(DepthLimitError, match=r"^slope_measure\[aggregate\]"):
+            slope_measure(5, F(1, 4), F(1))
+        with pytest.raises(DepthLimitError, match="^iterate_to"):
+            slope_measure(5, F(1, 4), F(1), "explicit")
+
+
+# graph_length(n, v, mode).hex() as computed by the per-mode loops that the
+# shared piece walk replaced; the walk must reproduce them bit for bit.
+PINNED_LENGTHS = {
+    (F(1, 4), 14, "explicit"): "0x1.bf06a32d19ee4p+0",
+    (F(1, 4), 14, "aggregate"): "0x1.bf06a32d19ee4p+0",
+    (F(1, 4), 200, "aggregate"): "0x1.fff553201c7a3p+0",
+    (F(1, 4), 1200, "aggregate"): "0x1.fffffffffffffp+0",
+    (F(1, 3), 14, "explicit"): "0x1.9b0080ccb6d40p+0",
+    (F(1, 3), 14, "aggregate"): "0x1.9b0080ccb6d41p+0",
+    (F(1, 3), 200, "aggregate"): "0x1.fc9c6b33e5cb8p+0",
+    (F(1, 3), 1200, "aggregate"): "0x1.fffffff2eaa51p+0",
+    (F(7, 10), 14, "explicit"): "0x1.a9a7bd7982c1ap+0",
+    (F(7, 10), 14, "aggregate"): "0x1.a9a7bd7982c1ap+0",
+    (F(7, 10), 200, "aggregate"): "0x1.ff41a37c17c59p+0",
+    (F(7, 10), 1200, "aggregate"): "0x1.ffffffffff380p+0",
+}
+
+
+@pytest.mark.parametrize("v, n, mode", PINNED_LENGTHS)
+def test_graph_length_float_bytes_pinned(v, n, mode):
+    assert graph_length(n, v, mode).hex() == PINNED_LENGTHS[(v, n, mode)]
 
 
 class TestDensity:

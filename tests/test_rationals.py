@@ -8,16 +8,13 @@ from hypothesis import strategies as st
 from tentlab.rationals import (
     ONE,
     BinaryExpansion,
-    binary_to_rational,
+    One,
     dyadic_fraction,
     format_rational,
     fraction_from_reduced,
     multiplicative_order_of_two,
     parse_rational,
-    rat_arith,
     rational_to_binary,
-    rational_to_unit,
-    unit_to_rational,
 )
 
 
@@ -58,10 +55,10 @@ class TestCodecExamples:
         assert b.preperiod == (1,) and b.period == (0,)
 
     def test_value_examples(self):
-        assert binary_to_rational(BinaryExpansion([0], [1, 0])) == Fraction(1, 3)
-        assert binary_to_rational(BinaryExpansion([], [0])) == 0
+        assert BinaryExpansion([0], [1, 0]).value() == Fraction(1, 3)
+        assert BinaryExpansion([], [0]).value() == 0
         # 0.1(01) = 1/2 + 1/6; the constructor canonicalizes it to 0.(10)
-        assert binary_to_rational(BinaryExpansion([1], [0, 1])) == Fraction(2, 3)
+        assert BinaryExpansion([1], [0, 1]).value() == Fraction(2, 3)
 
     def test_parse_format(self):
         assert str(rational_to_binary(Fraction(1, 3))) == "0.(01)"
@@ -105,10 +102,10 @@ class TestCanonicalization:
             BinaryExpansion([], [])
 
     def test_unit_markers(self):
-        assert rational_to_unit(Fraction(1)) is ONE
-        assert unit_to_rational(ONE) == 1
-        x = Fraction(3, 7)
-        assert unit_to_rational(rational_to_unit(x)) == x
+        assert One() is ONE
+        assert repr(ONE) == "ONE"
+        with pytest.raises(ValueError, match="ONE marker"):
+            BinaryExpansion([1], [1])
 
 
 class TestAgainstNaiveOracle:
@@ -119,7 +116,7 @@ class TestAgainstNaiveOracle:
                 pre, per = naive_expansion(x)
                 b = rational_to_binary(x)
                 assert b.preperiod == pre and b.period == per, x
-                assert binary_to_rational(b) == x
+                assert b.value() == x
 
     def test_random_denominators(self):
         rng = random.Random(42)
@@ -137,7 +134,7 @@ class TestAgainstNaiveOracle:
             x = Fraction(rng.randrange(0, q), q)
             b = rational_to_binary(x)
             approx, tail = partial_sum(b.preperiod, b.period, 3)
-            value = binary_to_rational(b)
+            value = b.value()
             assert approx <= value <= approx + 2 * tail
 
 
@@ -147,7 +144,7 @@ class TestRoundTrip:
         for _ in range(10_000):
             q = rng.randrange(1, 10**6 + 1)
             x = Fraction(rng.randrange(0, q), q)
-            assert binary_to_rational(rational_to_binary(x)) == x
+            assert rational_to_binary(x).value() == x
 
     @settings(max_examples=200)
     @given(st.fractions(min_value=0, max_value=1, max_denominator=10**6))
@@ -155,7 +152,7 @@ class TestRoundTrip:
         if x == 1:
             return
         b = rational_to_binary(x)
-        assert binary_to_rational(b) == x
+        assert b.value() == x
 
     @settings(max_examples=200)
     @given(st.fractions(min_value=0, max_value=1, max_denominator=3000))
@@ -170,39 +167,6 @@ class TestRoundTrip:
                 assert per != per[: d] * (len(per) // d)
         if b.preperiod:
             assert b.preperiod[-1] != per[-1]
-
-
-class TestArithmetic:
-    def test_examples(self):
-        assert rat_arith(Fraction(1, 3), Fraction(1, 6), "add") == Fraction(1, 2)
-        zero = rat_arith(Fraction(5, 6), Fraction(5, 6), "sub")
-        assert zero == 0 and zero.denominator == 1
-        assert rat_arith(Fraction(2, 3), Fraction(5, 8), "cmp") == 1
-
-    def test_division_by_zero(self):
-        with pytest.raises(ZeroDivisionError):
-            rat_arith(Fraction(1), Fraction(0), "div")
-
-    @settings(max_examples=200)
-    @given(
-        st.integers(-999, 999),
-        st.integers(1, 999),
-        st.integers(-999, 999),
-        st.integers(1, 999),
-    )
-    def test_cross_multiplication_oracle(self, a, b, c, d):
-        x, y = Fraction(a, b), Fraction(c, d)
-        added = rat_arith(x, y, "add")
-        assert added.numerator * (b * d) == (a * d + c * b) * added.denominator
-        product = rat_arith(x, y, "mul")
-        assert product.numerator * (b * d) == (a * c) * product.denominator
-        assert rat_arith(x, y, "cmp") == (a * d > c * b) - (a * d < c * b)
-
-    def test_results_are_reduced(self):
-        import math
-
-        got = rat_arith(Fraction(2, 6), Fraction(2, 6), "add")
-        assert math.gcd(got.numerator, got.denominator) == 1
 
 
 class TestFastConstructors:

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tentlab.limits import DepthLimitError
 from tentlab.piecewise import PiecewiseLinearMap, constant_plm
 from tentlab.sawtooth import (
     CONSTANT_TWO_THIRDS,
@@ -235,6 +236,14 @@ class TestProbe:
         assert result.outcome == "trace"
         assert result.depth == 2
         assert abs(result.slope) > 1
+
+    def test_depth_guard(self, monkeypatch):
+        # the defect scan below a settled interval visits 2**(budget - p) points
+        with pytest.raises(DepthLimitError, match="^linearity_probe"):
+            linearity_probe(sawtooth(3), (1, 0), 60)
+        monkeypatch.setenv("TENTLAB_MAX_DEPTH", "1")
+        with pytest.raises(DepthLimitError):
+            linearity_probe(sawtooth(5), (1, 0), 2)
 
     def test_smooth_evaluator_descends_to_budget(self):
         # x**2 is nowhere linear: the midpoint defect never vanishes, so the
