@@ -56,15 +56,12 @@ def _preimage_claims(depth: int) -> list[dict]:
     mismatches = []
     union_fails = []
     for n in range(1, depth + 1):
+        closed = {}
         for kind in ("A", "B", "F"):
-            closed = preimage_set(n, kind, "closed_form")
-            iterated = preimage_set(n, kind, "iterated")
-            if closed.points != iterated.points:
+            closed[kind] = preimage_set(n, kind, "closed_form").points
+            if closed[kind] != preimage_set(n, kind, "iterated").points:
                 mismatches.append({"n": n, "kind": kind})
-        a = set(preimage_set(n, "A").points)
-        b = set(preimage_set(n, "B").points)
-        f = set(preimage_set(n, "F").points)
-        if a | b != f:
+        if set(closed["A"]) | set(closed["B"]) != set(closed["F"]):
             union_fails.append(n)
     return [
         _claim(

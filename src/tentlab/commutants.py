@@ -23,6 +23,7 @@ from __future__ import annotations
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 from typing import Iterator, Mapping
 
@@ -114,6 +115,12 @@ def validate_commuting_table(t: CommutingTable) -> None:
         raise ValueError(f"values escape the preimage set of {t.x0} at {stray}")
 
 
+@lru_cache(maxsize=64)
+def _addresses(m: int, base: Fraction) -> dict[Word, Fraction]:
+    """Every length-m word, in product order, mapped to the point it addresses."""
+    return {word: address_to_point(word, base) for word in product((0, 1), repeat=m)}
+
+
 def check_psi_tilde(pt: PsiTilde) -> list[dict]:
     """List violations of the three encoding properties, with witnesses."""
     violations = []
@@ -158,16 +165,17 @@ def psi_from_pair(pt: PsiTilde) -> CommutingTable:
     values: dict[Fraction, Fraction] = {ZERO: x0}
     witnesses: dict[Fraction, Word] = {}
     for m in range(1, pt.n + 1):
-        for word in product((0, 1), repeat=m):
-            x = address_to_point(word, ZERO)
-            y = address_to_point(pt.table[word], x0)
-            if x in witnesses and values[x] != y:
+        images = _addresses(m, x0)
+        for word, x in _addresses(m, ZERO).items():
+            y = images[pt.table[word]]
+            witness = witnesses.setdefault(x, word)
+            if witness == word:
+                values[x] = y
+            elif values[x] != y:
                 raise AddressConflict(
-                    f"words {witnesses[x]} and {word} both address {x} "
+                    f"words {witness} and {word} both address {x} "
                     f"but decode to {values[x]} and {y}"
                 )
-            values[x] = y
-            witnesses.setdefault(x, word)
     return CommutingTable(n=pt.n, x0=x0, values=values)
 
 
@@ -177,10 +185,9 @@ def pair_from_psi(t: CommutingTable) -> PsiTilde:
     table: dict[Word, Word] = {}
     for m in range(1, t.n + 1):
         least_word: dict[Fraction, Word] = {}
-        for word in product((0, 1), repeat=m):
-            least_word.setdefault(address_to_point(word, t.x0), word)
-        for word in product((0, 1), repeat=m):
-            x = address_to_point(word, ZERO)
+        for word, y in _addresses(m, t.x0).items():
+            least_word.setdefault(y, word)
+        for word, x in _addresses(m, ZERO).items():
             y = t.values[x]
             image = least_word.get(y)
             if image is None:
@@ -246,19 +253,28 @@ def _chain_job(n: int, x0: Fraction, first: Fraction) -> list[dict]:
 
 
 def _product_job(n: int, x0: Fraction, first: Fraction) -> list[dict]:
-    """Filter the full product space (value at 1 pinned) by the commutation check."""
+    """Filter the full product space (value at 1 pinned) by the commutation check.
+
+    Candidates are tuples of indices into the fixed-point universe, so the
+    check compares ints; every candidate is still visited, and a Fraction
+    dict is built only for the tables that pass.
+    """
     points = grid_points(n)
     others = [p for p in points if p != ZERO and p != 1]
     universe = preimage_set(n, "F").points
-    tent_of_point = {p: tent(p) for p in points}
-    tent_of_value = {v: tent(v) for v in universe}
-    tent_of_value[x0] = tent(x0)
+    index = {v: i for i, v in enumerate(universe)}
+    tent_index = [index[tent(v)] for v in universe]
+    # a candidate row is (value at 0, value at 1, values at others...)
+    slot = {ZERO: 0, Fraction(1): 1, **{p: i + 2 for i, p in enumerate(others)}}
+    checks = [(slot[x], slot[tent(x)]) for x in points]
+    head = (index[x0], index[first])
     results: list[dict] = []
-    for combo in product(universe, repeat=len(others)):
-        values = dict(zip(others, combo))
-        values[ZERO] = x0
-        values[Fraction(1)] = first
-        if all(tent_of_value[values[x]] == values[tent_of_point[x]] for x in points):
+    for combo in product(range(len(universe)), repeat=len(others)):
+        row = head + combo
+        if all(tent_index[row[a]] == row[b] for a, b in checks):
+            values = {p: universe[i] for p, i in zip(others, combo)}
+            values[ZERO] = x0
+            values[Fraction(1)] = first
             results.append(values)
     return results
 
@@ -392,7 +408,8 @@ def pair_fiber_stats(n: int) -> dict:
         except AddressConflict:
             conflicts += 1
             continue
-        fibers[table.key()] = fibers.get(table.key(), 0) + 1
+        key = table.key()
+        fibers[key] = fibers.get(key, 0) + 1
     fiber_sizes: dict[int, int] = {}
     for size in fibers.values():
         fiber_sizes[size] = fiber_sizes.get(size, 0) + 1

@@ -91,13 +91,15 @@ def sawtooth_matches(prob: ContinuationProblem, k: int) -> bool:
 
 
 @lru_cache(maxsize=4096)
-def _restriction_values(n: int, k: int) -> tuple[tuple[Fraction, Fraction], ...]:
-    return tuple((x, sawtooth_eval(k, x)) for x in grid_points(n))
+def _restriction_values(n: int, k: int) -> dict[Fraction, Fraction]:
+    """Shared cached dict: callers copy it, never mutate it."""
+    return {x: sawtooth_eval(k, x) for x in grid_points(n)}
 
 
 def sawtooth_restriction(n: int, k: int) -> CommutingTable:
     """The k-tooth sawtooth restricted to the depth-n grid."""
-    return CommutingTable(n=n, x0=ZERO, values=dict(_restriction_values(n, k)))
+    # a dict-to-dict copy reuses the stored hashes
+    return CommutingTable(n=n, x0=ZERO, values=_restriction_values(n, k).copy())
 
 
 def constant_table(n: int, value: Fraction) -> CommutingTable:
@@ -138,10 +140,10 @@ def is_tent_continuable(t: CommutingTable) -> ContinuationVerdict:
     """
     values = dict(t.values)
     for c in (ZERO, TWO_THIRDS):
-        if values == dict(constant_table(t.n, c).values):
+        if values == constant_table(t.n, c).values:
             return ContinuationVerdict(continuable=True, constant=c)
     for k in range(1, (1 << t.n) + 1):
-        if values == dict(sawtooth_restriction(t.n, k).values):
+        if values == _restriction_values(t.n, k):
             return ContinuationVerdict(continuable=True, witness_k=k)
     return ContinuationVerdict(continuable=False)
 
@@ -149,20 +151,14 @@ def is_tent_continuable(t: CommutingTable) -> ContinuationVerdict:
 def enumerate_continuable(n: int) -> list[CommutingTable]:
     """All distinct restrictions of continuous solutions to the depth-n grid."""
     check_depth(n, _ENUM_BOUND, "enumerate_continuable")
-    seen = set()
-    out = []
+    tables: dict = {}
     for k in range(1, (1 << n) + 1):
         table = sawtooth_restriction(n, k)
-        if table.key() not in seen:
-            seen.add(table.key())
-            out.append(table)
+        tables.setdefault(table.key(), table)
     for c in (ZERO, TWO_THIRDS):
         table = constant_table(n, c)
-        if table.key() not in seen:
-            seen.add(table.key())
-            out.append(table)
-    out.sort(key=CommutingTable.key)
-    return out
+        tables.setdefault(table.key(), table)
+    return [tables[key] for key in sorted(tables)]
 
 
 def continuable_audit(n: int) -> dict:

@@ -41,6 +41,11 @@ class TestGolden:
         assert cp.returncode == 0
         assert cp.stdout == (GOLDEN / "conjugacy_length_v14_n8.json").read_text()
 
+    def test_audit(self):
+        cp = tentlab("audit", "--max-n", "3", "--seed", "0")
+        assert cp.returncode == 1  # refuted counting claims are reported data
+        assert cp.stdout == (GOLDEN / "audit_max_n3_seed0.json").read_text()
+
     def test_byte_identical_across_runs(self):
         first = tentlab("preimages", "--n", "4", "--kind", "F").stdout
         second = tentlab("preimages", "--n", "4", "--kind", "F").stdout

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -6,6 +7,8 @@ from tentlab.commutants import (
     AddressConflict,
     CommutingTable,
     PsiTilde,
+    _addresses,
+    _product_job,
     audit_counts,
     brute_force_commuting,
     check_psi_tilde,
@@ -21,8 +24,27 @@ from tentlab.commutants import (
 )
 from tentlab.limits import DepthLimitError
 from tentlab.rationals import TWO_THIRDS, ZERO
+from tentlab.tent import address_to_point, grid_points, preimage_set, tent
 
 F = Fraction
+
+
+def reference_product_job(n, x0, first):
+    """The product filter on Fraction dicts, kept as the slow reference."""
+    points = grid_points(n)
+    others = [p for p in points if p != ZERO and p != 1]
+    universe = preimage_set(n, "F").points
+    tent_of_point = {p: tent(p) for p in points}
+    tent_of_value = {v: tent(v) for v in universe}
+    tent_of_value[x0] = tent(x0)
+    results = []
+    for combo in product(universe, repeat=len(others)):
+        values = dict(zip(others, combo))
+        values[ZERO] = x0
+        values[Fraction(1)] = first
+        if all(tent_of_value[values[x]] == values[tent_of_point[x]] for x in points):
+            results.append(values)
+    return results
 
 
 class TestCountFormulas:
@@ -87,6 +109,26 @@ class TestBruteForce:
             brute_force_commuting(4, method="product")
         with pytest.raises(DepthLimitError):
             brute_force_commuting(6, method="chain")
+
+
+class TestProductFilter:
+    @staticmethod
+    def assert_same(n, base, first):
+        # equal dicts with equal insertion order
+        fast = [list(v.items()) for v in _product_job(n, base, first)]
+        slow = [list(v.items()) for v in reference_product_job(n, base, first)]
+        assert fast == slow, (n, base, first)
+
+    def test_matches_reference_at_small_depth(self):
+        for n in (1, 2):
+            for base in (ZERO, TWO_THIRDS):
+                for first in preimage_set(n, "F").points:
+                    self.assert_same(n, base, first)
+
+    def test_matches_reference_at_depth_three(self):
+        for base in (ZERO, TWO_THIRDS):
+            for first in (F(0), F(1, 3), F(1, 2), F(1), F(2, 3), F(5, 6)):
+                self.assert_same(3, base, first)
 
 
 class TestValidation:
@@ -204,6 +246,15 @@ class TestEncoding:
             psi_from_pair(pt)
 
 
+def test_cached_addresses_match_address_to_point():
+    for m in range(1, 5):
+        for base in (ZERO, TWO_THIRDS):
+            addresses = _addresses(m, base)
+            assert list(addresses) == list(product((0, 1), repeat=m))
+            for word, point in addresses.items():
+                assert point == address_to_point(word, base)
+
+
 class TestPairFromPsi:
     def test_examples(self):
         t = CommutingTable(1, ZERO, {F(0): F(0), F(1): F(0)})
@@ -249,6 +300,18 @@ class TestFibers:
             "oracle_tables": 7,
             "bijective": False,
             "fiber_sizes": {"1": 6, "4": 1},
+        }
+
+    def test_depth_three_fibers(self):
+        assert pair_fiber_stats(3) == {
+            "n": 3,
+            "pairs_total": 4096,
+            "pairs_consistent": 100,
+            "pairs_conflicting": 3996,
+            "distinct_tables_from_pairs": 25,
+            "oracle_tables": 25,
+            "bijective": False,
+            "fiber_sizes": {"1": 20, "16": 5},
         }
 
     def test_consistent_pairs_decode_into_oracle_set(self):

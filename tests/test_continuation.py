@@ -103,6 +103,13 @@ class TestRestrictions:
             for k in range(1, (1 << n) + 1):
                 validate_commuting_table(sawtooth_restriction(n, k))
 
+    def test_restriction_is_a_private_copy(self):
+        table = sawtooth_restriction(3, 5)
+        expected = dict(table.values)
+        table.values[F(1, 4)] = F(2, 3)
+        del table.values[F(0)]
+        assert sawtooth_restriction(3, 5).values == expected
+
     def test_grid_values_stay_on_grid(self):
         for n in (2, 4, 6):
             grid = set(grid_points(n))
