@@ -3,16 +3,25 @@
 Starting from the identity, one step sends h to ``v*h(2x)`` on the left half
 and ``1 - (1-v)*h(2-2x)`` on the right; the iterates pin down the conjugacy on
 ever finer dyadic grids (a point of the depth-n grid never moves again after
-step n).  Both diagnostics, graph length and the measure of steep pieces,
-are sums over the ``2**n`` dyadic pieces of the n-th iterate, and ``_pieces``
-is the one walk over them.  It yields ``(count, slope)`` pairs, read off the
-breakpoint table in explicit mode or taken from the binomial profile (slope
+step n).  ``h_step`` is that step on Fractions, kept as the one-step reference.
+
+With ``v = p/q`` in lowest terms and ``r = q - p``, all the n-th iterate
+carries lies on the lattice ``N / q**n``: its ordinates, its piece slopes
+(``2**n`` times a rise) and the skew tent's preimages of 1 down to depth n.
+So the hot paths run on integer numerators over ``den = q**n``, and Fractions
+are built only for returned values.
+
+Both diagnostics, graph length and the measure of steep pieces, are sums over
+the ``2**n`` dyadic pieces of the n-th iterate, and ``_pieces`` is the one
+walk over them.  It yields ``(count, slope_num)`` pairs over ``den``, read off
+the ordinates in explicit mode or taken from the binomial profile (slope
 ``(2v)**a (2(1-v))**(n-a)``, ``C(n, a)`` times) in aggregate mode, which stays
-meaningful at depths (n in the thousands) where no table could exist.  Slopes
-rather than rises are carried: the threshold test then compares against the
-threshold itself, not against ``threshold / 2**n``, and a piece's length
-``2**-n * sqrt(1 + slope**2)`` leaves its factor ``2**-n`` to ``_term`` as an
-exponent shift, so floating point enters only in the final guarded summation.
+meaningful at depths (n in the thousands) where no table could exist.  A
+piece's length ``2**-n * sqrt(1 + slope**2)`` leaves its factor ``2**-n`` to
+``_term`` as an exponent shift, so floating point enters only in the final
+guarded summation.  The aggregate slope measure skips the walk: the slope is
+monotone in ``a``, so it bisects for the threshold crossing and sums a
+binomial tail.
 
 Everything exact stays exact: tables, slope measures and gap statistics are
 Fractions; only graph length (an honest irrational) is returned as a float.
@@ -37,6 +46,11 @@ _DENSITY_BOUND = 16
 def _check_vertex(v: Fraction) -> None:
     if not (0 < v < 1):
         raise ValueError(f"vertex abscissa must lie in (0, 1), got {v}")
+
+
+def _check_index(n: int) -> None:
+    if n < 0:
+        raise ValueError(f"iterate index must be nonnegative, got {n}")
 
 
 @dataclass(frozen=True)
@@ -79,12 +93,27 @@ def h_step(cur: ConjugacyIterate) -> ConjugacyIterate:
     return ConjugacyIterate(n=cur.n + 1, v=v, ordinates=tuple(new))
 
 
-def iterate_to(n: int, v: Fraction) -> ConjugacyIterate:
+def _ordinates(n: int, v: Fraction) -> tuple[list[int], int]:
+    """The n-th iterate's ordinates as numerators over ``den = q**n``.
+
+    ``h_step`` on the lattice: the left half is ``p*y`` and the right half
+    ``den' - r*y`` read backwards, over the next denominator ``den' = q*den``.
+    """
     check_depth(n, _EXPLICIT_BOUND, "iterate_to")
-    cur = identity_iterate(v)
+    _check_vertex(v)
+    _check_index(n)
+    p, q = v.numerator, v.denominator
+    r = q - p
+    ys, den = [0, 1], 1
     for _ in range(n):
-        cur = h_step(cur)
-    return cur
+        den *= q
+        ys = [p * y for y in ys] + [den - r * y for y in reversed(ys[:-1])]
+    return ys, den
+
+
+def iterate_to(n: int, v: Fraction) -> ConjugacyIterate:
+    ys, den = _ordinates(n, v)
+    return ConjugacyIterate(n=n, v=v, ordinates=tuple(Fraction(y, den) for y in ys))
 
 
 def conjugacy_value(m: int, x: Fraction, v: Fraction, cache: dict | None = None) -> Fraction:
@@ -133,52 +162,54 @@ def conjugate_point(word: Sequence[int], v: Fraction) -> Fraction:
 
 
 def _pieces(n: int, v: Fraction, mode: str, caller: str):
-    """(count, slope) over the pieces of the n-th iterate, lazily.
+    """``(den, stream)``: the n-th iterate's pieces as lazy ``(count, slope_num)``
+    pairs, each slope being ``slope_num / den`` with ``den = q**n``.
 
-    Explicit mode reads each piece's slope off the breakpoint table; aggregate
-    mode runs the binomial recurrence: slope ``(2v)**a (2(1-v))**(n-a)`` with
+    Explicit mode reads each piece's slope off the ordinates; aggregate mode
+    runs the binomial recurrence: slope numerator ``p**a r**(n-a) << n`` with
     multiplicity ``C(n, a)``.  Arguments and depth guards are checked here,
     before the first piece is asked for.
     """
     _check_vertex(v)
-    if n < 0:
-        raise ValueError(f"iterate index must be nonnegative, got {n}")
+    _check_index(n)
     if mode == "explicit":
-        ys = iterate_to(n, v).ordinates
-        scale = 1 << n
-        return ((1, (y1 - y0) * scale) for y0, y1 in zip(ys, ys[1:]))
+        ys, den = _ordinates(n, v)
+        return den, ((1, (y1 - y0) << n) for y0, y1 in zip(ys, ys[1:]))
     if mode != "aggregate":
         raise ValueError(f"mode must be 'explicit' or 'aggregate', got {mode!r}")
     check_depth(n, _AGGREGATE_BOUND, f"{caller}[aggregate]")
+    p, q = v.numerator, v.denominator
+    r = q - p
 
     def binomial():
-        w = 1 - v
-        ratio = v / w
-        count, slope = 1, (2 * w) ** n
+        # slope carries r**(n-a) until step a, so the division is exact
+        count, slope = 1, r**n << n
         yield count, slope
         for a in range(n):
-            slope *= ratio
+            slope = slope * p // r
             count = count * (n - a) // (a + 1)
             yield count, slope
 
-    return binomial()
+    return q**n, binomial()
 
 
-def _sqrt_parts(fr: Fraction) -> tuple[float, int]:
-    """sqrt(fr) as (mantissa, e) with sqrt = mantissa * 2**e, overflow-safe."""
-    e2 = fr.numerator.bit_length() - fr.denominator.bit_length()
+def _sqrt_parts(num: int, den: int) -> tuple[float, int]:
+    """sqrt(num/den) as (mantissa, e) with sqrt = mantissa * 2**e, overflow-safe.
+
+    ``int / int`` rounds correctly and ``e2`` is even, so ``mantissa * 2**e``
+    is the same whether or not num/den is reduced.
+    """
+    e2 = num.bit_length() - den.bit_length()
     e2 -= e2 & 1
     if e2 >= 0:
-        scaled = Fraction(fr.numerator, fr.denominator << e2)
-    else:
-        scaled = Fraction(fr.numerator << -e2, fr.denominator)
-    return math.sqrt(scaled), e2 // 2
+        return math.sqrt(num / (den << e2)), e2 // 2
+    return math.sqrt((num << -e2) / den), e2 // 2
 
 
-def _term(count: int, fr: Fraction, shift: int) -> float:
-    """count * sqrt(fr) * 2**shift as a float, exponents tracked outside the
-    mantissas."""
-    root, e = _sqrt_parts(fr)
+def _term(count: int, num: int, den: int, shift: int) -> float:
+    """count * sqrt(num/den) * 2**shift as a float, exponents tracked outside
+    the mantissas."""
+    root, e = _sqrt_parts(num, den)
     drop = max(count.bit_length() - 53, 0)
     return math.ldexp((count >> drop) * root, e + drop + shift)
 
@@ -192,10 +223,42 @@ def graph_length(n: int, v: Fraction, mode: str = "aggregate") -> float:
     depths no table could.  Radicands are exact; floats enter only at the
     final fsum.
     """
-    return math.fsum(
-        _term(count, 1 + slope * slope, -n)
-        for count, slope in _pieces(n, v, mode, "graph_length")
-    )
+    den, pieces = _pieces(n, v, mode, "graph_length")
+    den2 = den * den
+    return math.fsum(_term(count, den2 + s * s, den2, -n) for count, s in pieces)
+
+
+def _binomial_prefix(n: int, m: int) -> int:
+    """sum of C(n, b) for b < m."""
+    total, count = 0, 1
+    for b in range(m):
+        total += count
+        count = count * (n - b) // (b + 1)
+    return total
+
+
+def _steep_count(n: int, v: Fraction, td: int, bar: int) -> int:
+    """Number of pieces with ``slope_num * td >= bar``, off the binomial profile.
+
+    Indexed by the number b of factors ``min(p, r)``, the slope numerator
+    ``max(p, r)**(n-b) min(p, r)**b << n`` never increases, so the steep
+    classes are ``b < k`` for a k found by bisection; they hold
+    ``sum C(n, b), b < k`` pieces, summed on the shorter side of
+    ``C(n, b) = C(n, n-b)``.
+    """
+    p = v.numerator
+    r = v.denominator - p
+    big, small = max(p, r), min(p, r)
+    lo, hi = 0, n + 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if (big ** (n - mid) * small**mid * td) << n >= bar:
+            lo = mid + 1
+        else:
+            hi = mid
+    if 2 * lo > n + 1:
+        return (1 << n) - _binomial_prefix(n, n + 1 - lo)
+    return _binomial_prefix(n, lo)
 
 
 def slope_measure(
@@ -203,8 +266,14 @@ def slope_measure(
 ) -> Fraction:
     """Exact measure of the dyadic pieces where the iterate is at least as
     steep as the threshold."""
-    pieces = _pieces(n, v, mode, "slope_measure")
-    return Fraction(sum(count for count, slope in pieces if slope >= threshold), 1 << n)
+    den, pieces = _pieces(n, v, mode, "slope_measure")
+    td = threshold.denominator
+    bar = threshold.numerator * den  # slope_num / den >= threshold
+    if mode == "explicit":
+        steep = sum(count for count, s in pieces if s * td >= bar)
+    else:
+        steep = _steep_count(n, v, td, bar)
+    return Fraction(steep, 1 << n)
 
 
 @dataclass(frozen=True)
@@ -219,18 +288,25 @@ def density_probe(v: Fraction, depth: int) -> DensityReport:
     """Union of the skew tent's preimages of 1 down to the given depth.
 
     The largest gap (endpoints included) shrinking with depth is the
-    desk-scale trace of the density of that union.
+    desk-scale trace of the density of that union.  Level i is kept as
+    numerators over ``q**i`` and lifted to ``q**depth`` for the union.
     """
     _check_vertex(v)
     if depth < 0:
         raise ValueError(f"depth must be nonnegative, got {depth}")
     check_depth(depth, _DENSITY_BOUND, "density_probe")
-    level = {UNIT}
-    seen = set(level)
-    w = 1 - v
+    p, q = v.numerator, v.denominator
+    r = q - p
+    top = q**depth
+    level, den = {1}, 1
+    seen = {top}
     for _ in range(depth):
-        level = {v * y for y in level} | {1 - w * y for y in level}
-        seen |= level
+        den *= q
+        level = {p * y for y in level} | {den - r * y for y in level}
+        lift = top // den
+        seen.update(y * lift for y in level)
     pts = sorted(seen)
-    gaps = [pts[0]] + [b - a for a, b in zip(pts, pts[1:])] + [1 - pts[-1]]
-    return DensityReport(v=v, depth=depth, points=len(pts), max_gap=max(gaps))
+    gaps = [pts[0]] + [b - a for a, b in zip(pts, pts[1:])] + [top - pts[-1]]
+    return DensityReport(
+        v=v, depth=depth, points=len(pts), max_gap=Fraction(max(gaps), top)
+    )

@@ -4,6 +4,7 @@ import sys
 from pathlib import Path
 
 import jsonschema
+import pytest
 
 from tentlab.cli import run
 
@@ -40,6 +41,26 @@ class TestGolden:
         cp = tentlab("conjugacy", "length", "--v", "1/4", "--n", "8", "--mode", "aggregate")
         assert cp.returncode == 0
         assert cp.stdout == (GOLDEN / "conjugacy_length_v14_n8.json").read_text()
+
+    @pytest.mark.parametrize(
+        "golden, argv",
+        [
+            ("conjugacy_table_v13_n5.json", ["table", "--v", "1/3", "--n", "5"]),
+            (
+                "conjugacy_slopes_v710_n14_explicit.json",
+                ["slopes", "--v", "7/10", "--n", "14", "--threshold", "1", "--mode", "explicit"],
+            ),
+            (
+                "conjugacy_slopes_v710_n10000_aggregate.json",
+                ["slopes", "--v", "7/10", "--n", "10000", "--threshold", "1", "--mode", "aggregate"],
+            ),
+            ("conjugacy_density_v13_d12.json", ["density", "--v", "1/3", "--depth", "12"]),
+        ],
+    )
+    def test_conjugacy_lattice(self, golden, argv):
+        cp = tentlab("conjugacy", *argv)
+        assert cp.returncode == 0
+        assert cp.stdout == (GOLDEN / golden).read_text()
 
     def test_audit(self):
         cp = tentlab("audit", "--max-n", "3", "--seed", "0")

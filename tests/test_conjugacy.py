@@ -63,6 +63,17 @@ class TestIterates:
         with pytest.raises(DepthLimitError):
             iterate_to(5, F(1, 4))
 
+    def test_negative_index_rejected(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            iterate_to(-1, F(1, 4))
+
+    def test_matches_h_step_folds(self):
+        for v in VS + (F(1, 2), F(99, 100)):
+            cur = identity_iterate(v)
+            for n in range(11):
+                assert iterate_to(n, v) == cur, (v, n)
+                cur = h_step(cur)
+
 
 class TestStabilization:
     def test_grid_points_stop_moving(self):
@@ -168,18 +179,37 @@ class TestSlopeMeasure:
         for v in VS:
             for n in (0, 1, 4, 9):
                 for mode in ("explicit", "aggregate"):
-                    pieces = list(_pieces(n, v, mode, "test"))
+                    den, stream = _pieces(n, v, mode, "test")
+                    pieces = list(stream)
+                    assert den == v.denominator**n
                     assert sum(c for c, _ in pieces) == 1 << n
-                    assert sum(c * s for c, s in pieces) == 1 << n
+                    # slopes average to 1: the rises add up to h(1) - h(0)
+                    assert sum(c * s for c, s in pieces) == den << n
 
     def test_profile_matches_explicit_heights(self):
         for v in VS:
             for n in (1, 4, 8):
-                explicit = sorted(s for _, s in _pieces(n, v, "explicit", "test"))
-                profile = sorted(
-                    s for c, s in _pieces(n, v, "aggregate", "test") for _ in range(c)
-                )
+                den, stream = _pieces(n, v, "explicit", "test")
+                explicit = sorted(s for _, s in stream)
+                den_agg, stream = _pieces(n, v, "aggregate", "test")
+                profile = sorted(s for c, s in stream for _ in range(c))
+                assert den_agg == den
                 assert explicit == profile
+
+    def test_aggregate_matches_fraction_filter(self):
+        for v in VS + (F(1, 2), F(99, 100)):
+            for n in list(range(15)) + [200]:
+                slopes = reference_slope_classes(n, v)
+                steepest = max(s for _, s in slopes)
+                # every class slope is a threshold on the >= boundary
+                crossings = [s for _, s in slopes][:: max(1, n // 12)]
+                for threshold in crossings + [F(0), F(-1), steepest + F(1, 10**9), F(10**9)]:
+                    expected = Fraction(
+                        sum(c for c, s in slopes if s >= threshold), 1 << n
+                    )
+                    assert slope_measure(n, v, threshold) == expected, (v, n, threshold)
+                    if n <= 10:
+                        assert slope_measure(n, v, threshold, "explicit") == expected
 
     def test_pieces_checks_eagerly(self, monkeypatch):
         with pytest.raises(ValueError, match="vertex"):
@@ -197,8 +227,16 @@ class TestSlopeMeasure:
             slope_measure(5, F(1, 4), F(1), "explicit")
 
 
-# graph_length(n, v, mode).hex() as computed by the per-mode loops that the
-# shared piece walk replaced; the walk must reproduce them bit for bit.
+def reference_slope_classes(n, v):
+    """The binomial slope profile in Fractions: (C(n, a), (2v)**a (2(1-v))**(n-a))."""
+    return [
+        (math.comb(n, a), (2 * v) ** a * (2 * (1 - v)) ** (n - a)) for a in range(n + 1)
+    ]
+
+
+# graph_length(n, v, mode).hex() as computed by the earlier Fraction
+# implementations (per-mode loops, then one Fraction piece walk); the integer
+# walk must reproduce them bit for bit.
 PINNED_LENGTHS = {
     (F(1, 4), 14, "explicit"): "0x1.bf06a32d19ee4p+0",
     (F(1, 4), 14, "aggregate"): "0x1.bf06a32d19ee4p+0",
@@ -212,6 +250,12 @@ PINNED_LENGTHS = {
     (F(7, 10), 14, "aggregate"): "0x1.a9a7bd7982c1ap+0",
     (F(7, 10), 200, "aggregate"): "0x1.ff41a37c17c59p+0",
     (F(7, 10), 1200, "aggregate"): "0x1.ffffffffff380p+0",
+    (F(1, 2), 14, "explicit"): "0x1.6a09e667f3bcdp+0",
+    (F(1, 2), 14, "aggregate"): "0x1.6a09e667f3bcdp+0",
+    (F(1, 2), 1200, "aggregate"): "0x1.6a09e667f3bccp+0",
+    (F(99, 100), 14, "explicit"): "0x1.feb396e4cadafp+0",
+    (F(99, 100), 14, "aggregate"): "0x1.feb396e4cadafp+0",
+    (F(99, 100), 1200, "aggregate"): "0x1.fffffffffffffp+0",
 }
 
 
@@ -250,3 +294,15 @@ class TestDensity:
     def test_depth_guard(self):
         with pytest.raises(DepthLimitError):
             density_probe(F(1, 4), 17)
+
+    def test_matches_fraction_sets(self):
+        for v in VS + (F(1, 2), F(99, 100), F(2, 3)):
+            level = {F(1)}
+            seen = set(level)
+            for depth in range(10):
+                pts = sorted(seen)
+                gaps = [pts[0]] + [b - a for a, b in zip(pts, pts[1:])] + [1 - pts[-1]]
+                report = density_probe(v, depth)
+                assert (report.points, report.max_gap) == (len(pts), max(gaps)), (v, depth)
+                level = {v * y for y in level} | {1 - (1 - v) * y for y in level}
+                seen |= level

@@ -229,3 +229,11 @@ class TestAudit:
             assert report["claimed"] == 2 ** (n - 1)
             assert report["distinct_restrictions"] == report["claimed"] + 2
             assert not report["matches_claim"]
+
+    def test_counts_match_the_built_tables(self):
+        for n in range(1, 9):
+            report = continuable_audit(n)
+            sawtooth_keys = {sawtooth_restriction(n, k).key() for k in range(1, (1 << n) + 1)}
+            assert report["sawtooth_restriction_count"] == len(sawtooth_keys)
+            assert report["distinct_restrictions"] == len(enumerate_continuable(n))
+            assert report["with_constants"] == report["distinct_restrictions"]
