@@ -16,6 +16,14 @@ The enumeration oracle here is the ground truth the counting claims are
 audited against; the closed-form count, its recursion, and the per-level
 extension count are all computed side by side and their disagreements are
 reported, never reconciled.
+
+Both oracles run on the lattice of ``tent``: at depth n a value is ``j / D``
+with ``D = 3 * 2**(n-1)``, and index ``j`` of the fixed-point universe
+``preimage_set(n, "F").points`` holds ``j / D``.  The chain oracle steps down
+the tent's inverse branches ``j -> j/2`` and ``D - j/2`` on ints.  Each table
+comes with its row of numerators in grid order, and the oracle sorts on those
+rows; the lattice map is increasing, so that is the order of
+``CommutingTable.key``.  Tables share the universe's Fractions as values.
 """
 
 from __future__ import annotations
@@ -25,6 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
+from operator import itemgetter
 from typing import Iterator, Mapping
 
 from .limits import check_depth
@@ -33,7 +42,6 @@ from .tent import (
     address_to_point,
     grid_points,
     inverse_branch,
-    new_grid_points,
     preimage_set,
     tent,
 )
@@ -202,10 +210,11 @@ def enumerate_psi_tilde(n: int, i0: int | None = None) -> Iterator[PsiTilde]:
     Per level, every nonzero word extends its parent's image by a free bit
     while the all-zero word is forced: 2 * prod_m 2**(2**m - 1) encodings.
     """
+    if n < 1:
+        raise ValueError(f"depth must be positive, got {n}")
     check_depth(n, _PAIR_ENUM_BOUND, "enumerate_psi_tilde")
     bases = (0, 1) if i0 is None else (i0,)
-    for base in bases:
-        yield from _extend_encoding({}, 1, n, base)
+    return (pt for base in bases for pt in _extend_encoding({}, 1, n, base))
 
 
 def _extend_encoding(table: dict, m: int, n: int, i0: int) -> Iterator[PsiTilde]:
@@ -231,33 +240,58 @@ def _tent_preimages(y: Fraction) -> list[Fraction]:
     return [left] if left == right else [left, right]
 
 
-def _chain_job(n: int, x0: Fraction, first: Fraction) -> list[dict]:
-    """All tables with given base value and given value at the point 1."""
-    order = [p for m in range(1, n + 1) for p in sorted(new_grid_points(m))]
-    assignment: dict[Fraction, Fraction] = {ZERO: x0, order[0]: first}
-    results: list[dict] = []
+def _chain_job(n: int, x0: Fraction, first: Fraction) -> list[tuple[tuple[int, ...], dict]]:
+    """All tables with given base value and given value at the point 1.
+
+    Walks the preimage-choice tree on lattice numerators over ``3 * 2**(n-1)``
+    (grid point ``k / 2**(n-1)`` is slot ``k``), keeping the Fraction dict in
+    step.  Each table is ``(row, values)``: the numerators in grid order and
+    the dict, keyed 0, 1, then the grid level by level.
+    """
+    points = grid_points(n)
+    lattice = preimage_set(n, "F").points  # lattice[j] == j / den
+    den = len(lattice) - 1
+    half = len(points) - 1
+    # the point 1, then each level's new points: odd multiples of 1/2**(m-1)
+    slots = [k for m in range(2, n + 1) for k in range(half >> (m - 1), half, half >> (m - 2))]
+    parents = [2 * k if 2 * k <= half else 2 * (half - k) for k in slots]
+    keys = [points[k] for k in slots]
+    row = [0] * (half + 1)
+    row[0] = lattice.index(x0)
+    row[half] = lattice.index(first)
+    # every path reassigns every slot, so the dict keeps its key order
+    assignment: dict[Fraction, Fraction] = {ZERO: x0, points[half]: first}
+    results: list[tuple[tuple[int, ...], dict]] = []
+    last = len(slots)
 
     def recurse(i: int) -> None:
-        if i == len(order):
-            results.append(dict(assignment))
+        if i == last:
+            # copying a dict reuses its stored hashes
+            results.append((tuple(row), dict(assignment)))
             return
-        x = order[i]
-        for y in _tent_preimages(assignment[tent(x)]):
-            assignment[x] = y
+        k = slots[i]
+        x = keys[i]
+        j = row[parents[i]] >> 1
+        row[k] = j
+        assignment[x] = lattice[j]
+        recurse(i + 1)
+        if 2 * j != den:
+            row[k] = den - j
+            assignment[x] = lattice[den - j]
             recurse(i + 1)
-        del assignment[x]
 
-    if first in _tent_preimages(x0):
-        recurse(1)
+    if row[half] in (row[0] >> 1, den - (row[0] >> 1)):
+        recurse(0)
     return results
 
 
-def _product_job(n: int, x0: Fraction, first: Fraction) -> list[dict]:
+def _product_job(n: int, x0: Fraction, first: Fraction) -> list[tuple[tuple[int, ...], dict]]:
     """Filter the full product space (value at 1 pinned) by the commutation check.
 
     Candidates are tuples of indices into the fixed-point universe, so the
     check compares ints; every candidate is still visited, and a Fraction
-    dict is built only for the tables that pass.
+    dict is built only for the tables that pass.  The universe is the
+    lattice, so a passing table is ``(row, values)`` as in ``_chain_job``.
     """
     points = grid_points(n)
     others = [p for p in points if p != ZERO and p != 1]
@@ -268,14 +302,14 @@ def _product_job(n: int, x0: Fraction, first: Fraction) -> list[dict]:
     slot = {ZERO: 0, Fraction(1): 1, **{p: i + 2 for i, p in enumerate(others)}}
     checks = [(slot[x], slot[tent(x)]) for x in points]
     head = (index[x0], index[first])
-    results: list[dict] = []
+    results: list[tuple[tuple[int, ...], dict]] = []
     for combo in product(range(len(universe)), repeat=len(others)):
         row = head + combo
         if all(tent_index[row[a]] == row[b] for a, b in checks):
             values = {p: universe[i] for p, i in zip(others, combo)}
             values[ZERO] = x0
             values[Fraction(1)] = first
-            results.append(values)
+            results.append(((head[0], *combo, head[1]), values))
     return results
 
 
@@ -290,8 +324,11 @@ def brute_force_commuting(
     Method "product" filters all assignments into the fixed-point preimage set
     (n <= 3); "chain" walks the preimage-choice tree (n <= 5); "auto" picks
     product when it is feasible.  Output is canonically sorted and independent
-    of the worker count.
+    of the worker count: tables are sorted by their lattice rows, the same
+    order as ``CommutingTable.key``.
     """
+    if n < 1:
+        raise ValueError(f"depth must be positive, got {n}")
     if x0 is not None and x0 not in (ZERO, TWO_THIRDS):
         raise ValueError(f"x0 must be a fixed point of the tent, 0 or 2/3, got {x0}")
     if method == "auto":
@@ -316,16 +353,11 @@ def brute_force_commuting(
             chunks = list(pool.map(_run_job, jobs))
     else:
         chunks = [_run_job(job) for job in jobs]
-    tables = [
-        CommutingTable(n=n, x0=values[ZERO], values=values)
-        for chunk in chunks
-        for values in chunk
-    ]
-    tables.sort(key=CommutingTable.key)
-    return tables
+    pairs = sorted((pair for chunk in chunks for pair in chunk), key=itemgetter(0))
+    return [CommutingTable(n=n, x0=values[ZERO], values=values) for _, values in pairs]
 
 
-def _run_job(spec: tuple) -> list[dict]:
+def _run_job(spec: tuple) -> list[tuple[tuple[int, ...], dict]]:
     name, args = spec
     return {"_chain_job": _chain_job, "_product_job": _product_job}[name](*args)
 
@@ -408,7 +440,8 @@ def pair_fiber_stats(n: int) -> dict:
         except AddressConflict:
             conflicts += 1
             continue
-        key = table.key()
+        # psi_from_pair inserts the grid points in one fixed order
+        key = tuple(table.values.values())
         fibers[key] = fibers.get(key, 0) + 1
     fiber_sizes: dict[int, int] = {}
     for size in fibers.values():

@@ -12,6 +12,12 @@ constants exhausts all restrictions.
 
 The claimed count of continuable tables (2**(n-1)) is audited against the
 enumeration, never assumed.
+
+On the lattice of ``tent`` (numerators over ``3 * 2**(n-1)``) the k-tooth
+restriction is the row ``3 * tri(k*i mod 2**n)`` over the grid index i, with
+``tri(t) = min(t, 2**n - t)``.  Enumeration and the count audit deduplicate
+and sort these int rows and build a table only for each distinct row;
+``sawtooth_restriction`` reads a cached Fraction view of the same row.
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ from .commutants import CommutingTable
 from .limits import check_depth
 from .rationals import TWO_THIRDS, ZERO
 from .sawtooth import sawtooth_eval
-from .tent import grid_points
+from .tent import grid_points, preimage_set
 
 _ENUM_BOUND = 10
 
@@ -90,10 +96,31 @@ def sawtooth_matches(prob: ContinuationProblem, k: int) -> bool:
     return sawtooth_eval(k, prob.alpha) == prob.beta
 
 
+def _restriction_row(n: int, k: int) -> tuple[int, ...]:
+    """The k-tooth sawtooth on the depth-n grid, as numerators over 3 * 2**(n-1).
+
+    At the grid index i the value is tri(k*i mod 2**n) / 2**(n-1), where
+    tri(t) folds t above 2**(n-1) back to 2**n - t.
+    """
+    modulus = 1 << n
+    half = modulus >> 1
+    steps = (k * i % modulus for i in range(half + 1))
+    return tuple(3 * (t if t <= half else modulus - t) for t in steps)
+
+
 @lru_cache(maxsize=4096)
 def _restriction_values(n: int, k: int) -> dict[Fraction, Fraction]:
-    """Shared cached dict: callers copy it, never mutate it."""
-    return {x: sawtooth_eval(k, x) for x in grid_points(n)}
+    """Shared cached Fraction view of the restriction row: callers copy it,
+    never mutate it."""
+    grid = grid_points(n)
+    return {x: grid[j // 3] for x, j in zip(grid, _restriction_row(n, k))}
+
+
+def _rows(n: int) -> tuple[set, set]:
+    """Distinct restriction rows of k = 1..2**n, and those with the two constants."""
+    size = len(grid_points(n))
+    sawtooths = {_restriction_row(n, k) for k in range(1, (1 << n) + 1)}
+    return sawtooths, sawtooths | {(0,) * size, (1 << n,) * size}
 
 
 def sawtooth_restriction(n: int, k: int) -> CommutingTable:
@@ -149,38 +176,38 @@ def is_tent_continuable(t: CommutingTable) -> ContinuationVerdict:
 
 
 def enumerate_continuable(n: int) -> list[CommutingTable]:
-    """All distinct restrictions of continuous solutions to the depth-n grid."""
+    """All distinct restrictions of continuous solutions to the depth-n grid.
+
+    Restrictions are deduplicated and sorted as lattice rows (the order of
+    ``CommutingTable.key``); a table is built only for each distinct row.
+    """
     check_depth(n, _ENUM_BOUND, "enumerate_continuable")
-    tables: dict = {}
-    for k in range(1, (1 << n) + 1):
-        table = sawtooth_restriction(n, k)
-        tables.setdefault(table.key(), table)
-    for c in (ZERO, TWO_THIRDS):
-        table = constant_table(n, c)
-        tables.setdefault(table.key(), table)
-    return [tables[key] for key in sorted(tables)]
+    grid = grid_points(n)
+    lattice = preimage_set(n, "F").points  # lattice[j] == j / (3 * 2**(n-1))
+    return [
+        CommutingTable(
+            n=n, x0=lattice[row[0]], values=dict(zip(grid, map(lattice.__getitem__, row)))
+        )
+        for row in sorted(_rows(n)[1])
+    ]
 
 
 def continuable_audit(n: int) -> dict:
     """Enumerated continuable counts next to the claimed 2**(n-1).
 
-    Counts the distinct ``key()``s that ``enumerate_continuable`` would keep,
+    Counts the distinct lattice rows that ``enumerate_continuable`` keeps,
     without building the tables.
     """
     check_depth(n, _ENUM_BOUND, "enumerate_continuable")
-    grid = grid_points(n)
-    keys = {
-        (ZERO, tuple(map(_restriction_values(n, k).__getitem__, grid)))
-        for k in range(1, (1 << n) + 1)
-    }
-    sawtooth_count = len(keys)
-    keys.update((c, (c,) * len(grid)) for c in (ZERO, TWO_THIRDS))
+    sawtooths, rows = _rows(n)
+    sawtooth_count = len(sawtooths)
+    distinct = len(rows)
     claimed = 1 << (n - 1)
     return {
         "n": n,
-        "distinct_restrictions": len(keys),
+        "distinct_restrictions": distinct,
         "sawtooth_restriction_count": sawtooth_count,
-        "with_constants": len(keys),
+        "with_constants": distinct,
         "claimed": claimed,
-        "matches_claim": len(keys) == claimed,
+        "matches_claim": distinct == claimed,
     }

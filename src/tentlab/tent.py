@@ -11,6 +11,16 @@ the package:
 Both a closed-form generator and an inverse-branch pullback are provided and
 must agree; tests hold them against each other.
 
+The lattice.  At depth n every one of these points, and every value a
+commuting table can take, is ``j / D`` with ``D = 3 * 2**(n-1)`` and
+``0 <= j <= D``: kind ``A`` is ``j = 0 mod 3``, kind ``B`` is ``j = 1, 2 mod
+3`` and kind ``F`` is every ``j``, in increasing order, so index ``j`` of the
+kind-F points is ``j / D``.  On numerators the tent map is ``j -> 2j`` or
+``2D - 2j`` and its inverse branches are ``j -> j/2`` and ``D - j/2``.  Both
+preimage generators, the chain oracle in ``commutants`` and the restrictions
+in ``continuation`` work on these ints and build ``Fraction``s only for the
+values they return.
+
 Addresses.  A word ``(j1, ..., jm)`` names the point obtained by feeding a
 base point through the inverse branches with ``j1`` applied first (innermost).
 Addresses are *not* unique: both branches send 1 to 1/2, so the words (1, 0)
@@ -29,9 +39,7 @@ from .limits import check_depth
 from .rationals import (
     HALF,
     ONE,
-    TWO_THIRDS,
     UNIT,
-    ZERO,
     BinaryExpansion,
     format_rational,
 )
@@ -151,26 +159,27 @@ class PreimageSet:
 
 
 def _closed_form_points(n: int, kind: str) -> list[Fraction]:
-    scale = Fraction(1, 1 << (n - 1))
+    # j / den in lattice order: A is j = 0 mod 3, B is j = 1, 2 mod 3, F is all j
+    den = 3 << (n - 1)
     if kind == "A":
-        return [k * scale for k in range((1 << (n - 1)) + 1)]
-    thirds = (Fraction(1, 3), Fraction(2, 3))
-    shifted = [(k + kappa) * scale for k in range(1 << (n - 1)) for kappa in thirds]
-    if kind == "B":
-        return sorted(shifted)
-    zeros = [(k + 0) * scale for k in range(1 << (n - 1))]
-    return sorted(zeros + shifted + [UNIT])
+        numerators = range(0, den + 1, 3)
+    elif kind == "B":
+        numerators = (j for j in range(den) if j % 3)
+    else:
+        numerators = range(den + 1)
+    return [Fraction(j, den) for j in numerators]
 
 
 def _iterated_points(n: int, kind: str) -> list[Fraction]:
-    targets = {"A": [ZERO], "B": [TWO_THIRDS], "F": [ZERO, TWO_THIRDS]}[kind]
+    # Numerators over 3 * 2**n: 2/3 is 2**(n+1), and each pullback halves,
+    # so every y is even when it is halved.
+    den = 3 << n
+    targets = {"A": [0], "B": [2 << n], "F": [0, 2 << n]}[kind]
     current = set(targets)
     for _ in range(n):
         # Both branches collide on the preimage of 1, hence the set.
-        current = {inverse_branch(0, y) for y in current} | {
-            inverse_branch(1, y) for y in current
-        }
-    return sorted(current)
+        current = {y >> 1 for y in current} | {den - (y >> 1) for y in current}
+    return [Fraction(y, den) for y in sorted(current)]
 
 
 def preimage_set(n: int, kind: str, method: str = "closed_form") -> PreimageSet:

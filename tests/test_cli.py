@@ -67,6 +67,22 @@ class TestGolden:
         assert cp.returncode == 1  # refuted counting claims are reported data
         assert cp.stdout == (GOLDEN / "audit_max_n3_seed0.json").read_text()
 
+    @pytest.mark.parametrize(
+        "golden, argv",
+        [
+            ("commutants_enumerate_n4_x00.json", ["commutants", "enumerate", "--n", "4", "--x0", "0"]),
+            ("continuable_n5.json", ["continuable", "--n", "5"]),
+            (
+                "preimages_n5_B_iterated.json",
+                ["preimages", "--n", "5", "--kind", "B", "--method", "iterated"],
+            ),
+        ],
+    )
+    def test_lattice_layers(self, golden, argv):
+        cp = tentlab(*argv)
+        assert cp.returncode == 0
+        assert cp.stdout == (GOLDEN / golden).read_text()
+
     def test_byte_identical_across_runs(self):
         first = tentlab("preimages", "--n", "4", "--kind", "F").stdout
         second = tentlab("preimages", "--n", "4", "--kind", "F").stdout

@@ -8,7 +8,9 @@ from tentlab.commutants import (
     CommutingTable,
     PsiTilde,
     _addresses,
+    _chain_job,
     _product_job,
+    _tent_preimages,
     audit_counts,
     brute_force_commuting,
     check_psi_tilde,
@@ -24,7 +26,14 @@ from tentlab.commutants import (
 )
 from tentlab.limits import DepthLimitError
 from tentlab.rationals import TWO_THIRDS, ZERO
-from tentlab.tent import address_to_point, grid_points, preimage_set, tent
+from tentlab.tent import (
+    address_to_point,
+    grid_points,
+    inverse_branch,
+    new_grid_points,
+    preimage_set,
+    tent,
+)
 
 F = Fraction
 
@@ -45,6 +54,40 @@ def reference_product_job(n, x0, first):
         if all(tent_of_value[values[x]] == values[tent_of_point[x]] for x in points):
             results.append(values)
     return results
+
+
+def reference_chain_job(n, x0, first):
+    """The preimage-choice walk on Fraction dicts, kept as the slow reference."""
+
+    def preimages(y):
+        left = inverse_branch(0, y)
+        right = inverse_branch(1, y)
+        return [left] if left == right else [left, right]
+
+    order = [p for m in range(1, n + 1) for p in sorted(new_grid_points(m))]
+    assignment = {ZERO: x0, order[0]: first}
+    results = []
+
+    def recurse(i):
+        if i == len(order):
+            results.append(dict(assignment))
+            return
+        x = order[i]
+        for y in preimages(assignment[tent(x)]):
+            assignment[x] = y
+            recurse(i + 1)
+        del assignment[x]
+
+    if first in preimages(x0):
+        recurse(1)
+    return results
+
+
+def lattice_row(n, values):
+    """Numerators over 3 * 2**(n-1) of a table's values, in grid order."""
+    scaled = [values[p] * (3 << (n - 1)) for p in grid_points(n)]
+    assert all(q.denominator == 1 for q in scaled)
+    return tuple(q.numerator for q in scaled)
 
 
 class TestCountFormulas:
@@ -104,6 +147,12 @@ class TestBruteForce:
         duo = brute_force_commuting(3, workers=2)
         assert [t.key() for t in solo] == [t.key() for t in duo]
 
+    @pytest.mark.parametrize("method", ["product", "chain", "auto"])
+    @pytest.mark.parametrize("n", [0, -2])
+    def test_depth_must_be_positive(self, method, n):
+        with pytest.raises(ValueError, match=f"depth must be positive, got {n}"):
+            brute_force_commuting(n, method=method)
+
     def test_depth_guard(self):
         with pytest.raises(DepthLimitError):
             brute_force_commuting(4, method="product")
@@ -115,9 +164,11 @@ class TestProductFilter:
     @staticmethod
     def assert_same(n, base, first):
         # equal dicts with equal insertion order
-        fast = [list(v.items()) for v in _product_job(n, base, first)]
+        pairs = _product_job(n, base, first)
+        fast = [list(v.items()) for _, v in pairs]
         slow = [list(v.items()) for v in reference_product_job(n, base, first)]
         assert fast == slow, (n, base, first)
+        assert [row for row, _ in pairs] == [lattice_row(n, v) for _, v in pairs]
 
     def test_matches_reference_at_small_depth(self):
         for n in (1, 2):
@@ -129,6 +180,30 @@ class TestProductFilter:
         for base in (ZERO, TWO_THIRDS):
             for first in (F(0), F(1, 3), F(1, 2), F(1), F(2, 3), F(5, 6)):
                 self.assert_same(3, base, first)
+
+
+class TestChainWalk:
+    CASES = [(n, base) for n in (1, 2, 3, 4) for base in (ZERO, TWO_THIRDS)] + [(5, ZERO)]
+
+    @pytest.mark.parametrize("n, base", CASES)
+    def test_matches_reference(self, n, base):
+        expected = []
+        for first in _tent_preimages(base):
+            pairs = _chain_job(n, base, first)
+            slow = reference_chain_job(n, base, first)
+            # equal dicts with equal insertion order, emitted in equal order
+            assert [list(v.items()) for _, v in pairs] == [list(v.items()) for v in slow]
+            assert [row for row, _ in pairs] == [lattice_row(n, v) for _, v in pairs]
+            expected += [CommutingTable(n, base, v) for v in slow]
+        expected.sort(key=CommutingTable.key)
+        got = brute_force_commuting(n, x0=base, method="chain")
+        assert [(t.x0, list(t.values.items())) for t in got] == [
+            (t.x0, list(t.values.items())) for t in expected
+        ]
+
+    def test_off_tree_first_value_yields_nothing(self):
+        assert _chain_job(3, ZERO, F(1, 3)) == []
+        assert _chain_job(3, TWO_THIRDS, F(0)) == []
 
 
 class TestValidation:
@@ -313,6 +388,11 @@ class TestFibers:
             "bijective": False,
             "fiber_sizes": {"1": 20, "16": 5},
         }
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_encodings_need_a_positive_depth(self, n):
+        with pytest.raises(ValueError, match=f"depth must be positive, got {n}"):
+            enumerate_psi_tilde(n)
 
     def test_consistent_pairs_decode_into_oracle_set(self):
         for n in (1, 2, 3):

@@ -16,9 +16,27 @@ from tentlab.continuation import (
 )
 from tentlab.limits import DepthLimitError
 from tentlab.rationals import TWO_THIRDS, ZERO
+from tentlab.sawtooth import sawtooth_eval
 from tentlab.tent import grid_points, new_grid_points
 
 F = Fraction
+
+
+def reference_sawtooth_tables(n):
+    """Every sawtooth restriction built from ``sawtooth_eval``, k = 1..2**n."""
+    grid = grid_points(n)
+    return [
+        CommutingTable(n, ZERO, {x: sawtooth_eval(k, x) for x in grid})
+        for k in range(1, (1 << n) + 1)
+    ]
+
+
+def reference_continuable(n):
+    """Distinct restrictions and constants, deduplicated and sorted on ``key()``."""
+    tables = {}
+    for table in reference_sawtooth_tables(n) + [constant_table(n, c) for c in (ZERO, TWO_THIRDS)]:
+        tables.setdefault(table.key(), table)
+    return [tables[key] for key in sorted(tables)]
 
 
 def all_problems(n):
@@ -237,3 +255,40 @@ class TestAudit:
             assert report["sawtooth_restriction_count"] == len(sawtooth_keys)
             assert report["distinct_restrictions"] == len(enumerate_continuable(n))
             assert report["with_constants"] == report["distinct_restrictions"]
+
+
+class TestLatticeRows:
+    def test_restrictions_match_sawtooth_eval(self):
+        for n in range(1, 9):
+            for k, table in enumerate(reference_sawtooth_tables(n), start=1):
+                got = sawtooth_restriction(n, k)
+                assert list(got.values.items()) == list(table.values.items()), (n, k)
+
+    def test_enumeration_matches_reference(self):
+        for n in range(1, 9):
+            got = enumerate_continuable(n)
+            expected = reference_continuable(n)
+            # equal tables in equal order with equal dict insertion order
+            assert [(t.n, t.x0, list(t.values.items())) for t in got] == [
+                (t.n, t.x0, list(t.values.items())) for t in expected
+            ], n
+
+    def test_audit_matches_reference(self):
+        for n in range(1, 9):
+            sawtooth_keys = {t.key() for t in reference_sawtooth_tables(n)}
+            distinct = len(reference_continuable(n))
+            assert continuable_audit(n) == {
+                "n": n,
+                "distinct_restrictions": distinct,
+                "sawtooth_restriction_count": len(sawtooth_keys),
+                "with_constants": distinct,
+                "claimed": 1 << (n - 1),
+                "matches_claim": distinct == 1 << (n - 1),
+            }
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_depth_must_be_positive(self, n):
+        with pytest.raises(ValueError, match=f"depth must be positive, got {n}"):
+            enumerate_continuable(n)
+        with pytest.raises(ValueError, match=f"depth must be positive, got {n}"):
+            continuable_audit(n)

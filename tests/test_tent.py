@@ -32,6 +32,29 @@ def from_unit(u):
     return Fraction(1) if u is ONE else u.value()
 
 
+def reference_closed_form_points(n, kind):
+    """The closed forms on Fractions, sorted, kept as the slow reference."""
+    scale = Fraction(1, 1 << (n - 1))
+    if kind == "A":
+        return [k * scale for k in range((1 << (n - 1)) + 1)]
+    thirds = (THIRD, TWO_THIRDS)
+    shifted = [(k + kappa) * scale for k in range(1 << (n - 1)) for kappa in thirds]
+    if kind == "B":
+        return sorted(shifted)
+    zeros = [k * scale for k in range(1 << (n - 1))]
+    return sorted(zeros + shifted + [Fraction(1)])
+
+
+def reference_iterated_points(n, kind):
+    """The inverse-branch pullback on Fractions, kept as the slow reference."""
+    current = {"A": {Fraction(0)}, "B": {TWO_THIRDS}, "F": {Fraction(0), TWO_THIRDS}}[kind]
+    for _ in range(n):
+        current = {inverse_branch(0, y) for y in current} | {
+            inverse_branch(1, y) for y in current
+        }
+    return sorted(current)
+
+
 class TestTent:
     def test_examples(self):
         assert tent(Fraction(1, 2)) == 1
@@ -160,6 +183,15 @@ class TestPreimageSets:
                 closed = preimage_set(n, kind, "closed_form")
                 iterated = preimage_set(n, kind, "iterated")
                 assert closed.points == iterated.points, (n, kind)
+
+    @pytest.mark.parametrize("kind", ["A", "B", "F"])
+    def test_lattice_generators_match_fraction_references(self, kind):
+        for n in range(1, 11):
+            closed = preimage_set(n, kind, "closed_form").points
+            iterated = preimage_set(n, kind, "iterated").points
+            assert list(closed) == reference_closed_form_points(n, kind), (n, kind)
+            assert list(iterated) == reference_iterated_points(n, kind), (n, kind)
+            assert all(type(p) is Fraction for p in closed + iterated)
 
     def test_union_decomposition(self):
         for n in range(1, 13):
