@@ -35,7 +35,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .limits import check_depth
-from .rationals import HALF, UNIT, ZERO, dyadic_fraction
+from .rationals import HALF, UNIT, ZERO
 from .tent import inverse_branch
 
 _EXPLICIT_BOUND = 24
@@ -68,7 +68,7 @@ class ConjugacyIterate:
             raise ValueError("iterate must fix 0 and 1")
 
     def abscissa(self, k: int) -> Fraction:
-        return dyadic_fraction(k, self.n)
+        return Fraction(k, 1 << self.n)
 
     def breakpoints(self) -> tuple[tuple[Fraction, Fraction], ...]:
         return tuple(

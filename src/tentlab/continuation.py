@@ -29,7 +29,7 @@ from functools import lru_cache
 from .commutants import CommutingTable
 from .limits import check_depth
 from .rationals import TWO_THIRDS, ZERO
-from .sawtooth import sawtooth_eval
+from .sawtooth import _fold
 from .tent import grid_points, preimage_set
 
 _ENUM_BOUND = 10
@@ -93,7 +93,9 @@ def sawtooth_matches(prob: ContinuationProblem, k: int) -> bool:
     """Does the k-tooth sawtooth send alpha to beta?  (Exactly the +/-k0 classes.)"""
     if k < 1:
         raise ValueError(f"tooth count must be >= 1, got {k}")
-    return sawtooth_eval(k, prob.alpha) == prob.beta
+    alpha, beta = prob.alpha, prob.beta
+    value = _fold(k, alpha.numerator, alpha.denominator)
+    return value * beta.denominator == beta.numerator * alpha.denominator
 
 
 def _restriction_row(n: int, k: int) -> tuple[int, ...]:

@@ -1,10 +1,10 @@
 """Exact rationals on the unit interval and their binary expansions.
 
-Every quantity in this package is a reduced ``fractions.Fraction``; nothing is
-ever rounded.  This module adds the one representation the rest of the code
-leans on: the eventually periodic binary expansion ``0.pre(period)`` of a
-rational in ``[0, 1)``, stored canonically so that equal values always compare
-equal digit-for-digit.
+Every value this package returns is a reduced ``fractions.Fraction`` (inner
+loops work on int numerators); nothing is ever rounded.  This module adds the
+one representation the rest of the code leans on: the eventually periodic
+binary expansion ``0.pre(period)`` of a rational in ``[0, 1)``, stored
+canonically so that equal values always compare equal digit-for-digit.
 
 Canonical form:
 
@@ -71,26 +71,6 @@ def parse_rational(text: str) -> Fraction:
 def format_rational(q: Fraction) -> str:
     """Serialize a Fraction as the reduced ``p/q`` wire form (q >= 1)."""
     return f"{q.numerator}/{q.denominator}"
-
-
-def fraction_from_reduced(num: int, den: int) -> Fraction:
-    """Build a Fraction from an already-reduced num/den, skipping the
-    generic constructor's normalization.  den must be positive and coprime
-    to num; hot loops only."""
-    f = object.__new__(Fraction)
-    f._numerator = num
-    f._denominator = den
-    return f
-
-
-def dyadic_fraction(num: int, power: int) -> Fraction:
-    """num / 2**power as a reduced Fraction (cheap power-of-two reduction)."""
-    if num == 0:
-        return ZERO
-    shift = (num & -num).bit_length() - 1
-    if shift > power:
-        shift = power
-    return fraction_from_reduced(num >> shift, 1 << (power - shift))
 
 
 def _bits_to_int(bits) -> tuple[int, int]:

@@ -10,27 +10,23 @@ The module also carries the dyadic refinement probe: starting from a dyadic
 interval with nonzero secant slope it either descends into halves of strictly
 larger absolute slope (when the midpoint leaves the secant) or scans deeper
 dyadic sub-intervals for a defect, certifying linearity on the sampled grid
-when none exists down to the depth budget.  Everything here is exact rational
-arithmetic; no floats.
+when none exists down to the depth budget.  The probe and
+:func:`secant_slopes` read an evaluator one dyadic level at a time, as int
+``(num, den)`` pairs at ``j / 2**L``, and compare them by cross-multiplication.
+On a sawtooth the value there is the int fold of ``k*j mod 2**(L+1)``; any
+other evaluator is called on ``Fraction(j, 2**L)``.  ``Fraction``s appear only
+in returned values.  Everything is exact; no floats.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 from typing import Callable, Iterable
 
 from .limits import check_depth
 from .piecewise import PiecewiseLinearMap
-from .rationals import (
-    TWO_THIRDS,
-    UNIT,
-    ZERO,
-    dyadic_fraction,
-    format_rational,
-    fraction_from_reduced,
-)
+from .rationals import TWO_THIRDS, UNIT, ZERO, format_rational
 from .tent import tent
 
 Evaluator = Callable[[Fraction], Fraction]
@@ -43,6 +39,13 @@ NOT_A_SOLUTION = "not_a_solution"
 _SECANT_DEPTH_BOUND = 20
 
 
+def _fold(k: int, num: int, den: int) -> int:
+    """Numerator over den of the k-tooth sawtooth at num/den: the triangle
+    wave folds r = k*num mod 2*den back to 2*den - r above den."""
+    r = k * num % (den << 1)
+    return r if r <= den else (den << 1) - r
+
+
 def sawtooth_eval(k: int, x: Fraction) -> Fraction:
     """Value of the k-tooth sawtooth: the triangle wave at kx, exactly."""
     if k < 1:
@@ -50,20 +53,26 @@ def sawtooth_eval(k: int, x: Fraction) -> Fraction:
     den = x.denominator
     if x.numerator < 0 or x.numerator > den:
         raise ValueError(f"argument out of [0, 1]: {x}")
-    # kx = num/den; the fractional part is rem/den, complemented on odd teeth.
-    whole, rem = divmod(k * x.numerator, den)
-    num = rem if whole % 2 == 0 else den - rem
-    g = gcd(num, den)
-    return fraction_from_reduced(num // g, den // g)
+    return Fraction(_fold(k, x.numerator, den), den)
+
+
+class _Sawtooth:
+    """The k-tooth sawtooth as an evaluator that exposes k to the probe's reader."""
+
+    __slots__ = ("k",)
+
+    def __init__(self, k: int):
+        if k < 1:
+            raise ValueError(f"tooth count must be >= 1, got {k}")
+        self.k = k
+
+    def __call__(self, x: Fraction) -> Fraction:
+        return sawtooth_eval(self.k, x)
 
 
 def sawtooth(k: int) -> Evaluator:
     """The k-tooth sawtooth as an exact evaluator."""
-
-    def g(x: Fraction) -> Fraction:
-        return sawtooth_eval(k, x)
-
-    return g
+    return _Sawtooth(k)
 
 
 def sawtooth_breakpoints(k: int) -> PiecewiseLinearMap:
@@ -126,9 +135,8 @@ def secant_slopes(g: Evaluator, n: int) -> list[Fraction]:
     if n < 0:
         raise ValueError(f"depth must be nonnegative, got {n}")
     check_depth(n, _SECANT_DEPTH_BOUND, "secant_slopes")
-    denom = 1 << n
-    values = [g(Fraction(j, denom)) for j in range(denom + 1)]
-    return [denom * (values[j + 1] - values[j]) for j in range(denom)]
+    values = _read(g, n, 0, (1 << n) + 1)
+    return [_secant(a, b, n) for a, b in zip(values, values[1:])]
 
 
 @dataclass(frozen=True)
@@ -168,20 +176,27 @@ class ProbeResult:
         }
 
 
-def _value(g: Evaluator, num: int, depth: int) -> Fraction:
-    return g(dyadic_fraction(num, depth))
+def _read(g: Evaluator, level: int, lo: int, hi: int, step: int = 1) -> list:
+    """g at j / 2**level for j in range(lo, hi, step), as (num, den) int pairs.
+
+    A sawtooth is read through the int fold over 2**level, unreduced; any
+    other evaluator is called on the reduced Fraction.
+    """
+    den = 1 << level
+    js = range(lo, hi, step)
+    if isinstance(g, _Sawtooth):
+        return [(_fold(g.k, j, den), den) for j in js]
+    return [(v.numerator, v.denominator) for v in [g(Fraction(j, den)) for j in js]]
+
+
+def _secant(a: tuple[int, int], b: tuple[int, int], level: int) -> Fraction:
+    """Secant slope between the values a and b at neighbouring level points."""
+    (an, ad), (bn, bd) = a, b
+    return Fraction((bn * ad - an * bd) << level, ad * bd)
 
 
 def _slope(g: Evaluator, depth: int, index: int) -> Fraction:
-    return (1 << depth) * (_value(g, index + 1, depth) - _value(g, index, depth))
-
-
-def _off_secant(a: Fraction, b: Fraction, mid: Fraction) -> bool:
-    """Whether a + b != 2*mid, by cross-multiplication (no Fraction churn)."""
-    an, ad = a.numerator, a.denominator
-    bn, bd = b.numerator, b.denominator
-    mn, md = mid.numerator, mid.denominator
-    return (an * bd + bn * ad) * md != 2 * mn * ad * bd
+    return _secant(*_read(g, depth, index, index + 2), depth)
 
 
 def _scan_for_defect(g: Evaluator, p: int, k: int, budget: int):
@@ -189,30 +204,22 @@ def _scan_for_defect(g: Evaluator, p: int, k: int, budget: int):
 
     Candidate depths run p+1 .. budget-1 (their midpoints live at depth
     <= budget); within a depth the smallest index wins.  Returns (depth,
-    index) or None.  Levels are materialized one at a time so each grid point
-    is evaluated once.
+    index) or None.  Levels are read one at a time so each grid point is
+    evaluated once; the defect a + b != 2*mid is tested by
+    cross-multiplying the int pairs.
     """
-    # Values are carried as (numerator, denominator) pairs: the defect test
-    # cross-multiplies integers, never building intermediate Fractions.
-    left = _value(g, k, p)
-    right = _value(g, k + 1, p)
-    prev = [(left.numerator, left.denominator), (right.numerator, right.denominator)]
+    prev = _read(g, p, k, k + 2)
     for level in range(p + 1, budget + 1):
-        count = 1 << (level - p)
         base = k << (level - p)
-        cur: list = [None] * (count + 1)
-        cur[0::2] = prev
-        for i in range(1, count, 2):
-            v = g(dyadic_fraction(base + i, level))
-            cur[i] = (v.numerator, v.denominator)
+        mids = _read(g, level, base + 1, base + (1 << (level - p)), 2)
         if level >= p + 2:
             half = k << (level - 1 - p)
-            for i in range(len(prev) - 1):
-                an, ad = prev[i]
-                bn, bd = prev[i + 1]
-                mn, md = cur[2 * i + 1]
+            for i, ((an, ad), (bn, bd), (mn, md)) in enumerate(zip(prev, prev[1:], mids)):
                 if (an * bd + bn * ad) * md != 2 * mn * ad * bd:
                     return (level - 1, half + i)
+        cur = prev + mids
+        cur[0::2] = prev
+        cur[1::2] = mids
         prev = cur
     return None
 
@@ -241,12 +248,12 @@ def linearity_probe(
     while True:
         if p >= depth_budget:
             return ProbeResult("trace", p, k, t, tuple(trace), depth_budget)
-        gl = _value(g, k, p)
-        gr = _value(g, k + 1, p)
-        gm = _value(g, 2 * k + 1, p + 1)
-        if _off_secant(gl, gr, gm):
-            t_left = (1 << (p + 1)) * (gm - gl)
-            t_right = (1 << (p + 1)) * (gr - gm)
+        gl, gr = _read(g, p, k, k + 2)
+        (gm,) = _read(g, p + 1, 2 * k + 1, 2 * k + 2)
+        (ln, ld), (rn, rd), (mn, md) = gl, gr, gm
+        if (ln * rd + rn * ld) * md != 2 * mn * ld * rd:
+            t_left = _secant(gl, gm, p + 1)
+            t_right = _secant(gm, gr, p + 1)
             if abs(t_left) == abs(t_right):
                 raise ValueError(
                     "halves of equal absolute slope under a nonzero defect: "

@@ -83,6 +83,19 @@ class TestGolden:
         assert cp.returncode == 0
         assert cp.stdout == (GOLDEN / golden).read_text()
 
+    @pytest.mark.parametrize(
+        "golden, argv",
+        [
+            ("probe_k3_s10_d20.json", ["--k", "3", "--start", "1,0", "--depth", "20"]),
+            ("probe_k7_s11_d20.json", ["--k", "7", "--start", "1,1", "--depth", "20"]),
+            ("probe_k5_s10_d2.json", ["--k", "5", "--start", "1,0", "--depth", "2"]),
+        ],
+    )
+    def test_probe(self, golden, argv):
+        cp = tentlab("probe", *argv)
+        assert cp.returncode == 0
+        assert cp.stdout == (GOLDEN / golden).read_text()
+
     def test_byte_identical_across_runs(self):
         first = tentlab("preimages", "--n", "4", "--kind", "F").stdout
         second = tentlab("preimages", "--n", "4", "--kind", "F").stdout

@@ -9,9 +9,7 @@ from tentlab.rationals import (
     ONE,
     BinaryExpansion,
     One,
-    dyadic_fraction,
     format_rational,
-    fraction_from_reduced,
     multiplicative_order_of_two,
     parse_rational,
     rational_to_binary,
@@ -167,18 +165,6 @@ class TestRoundTrip:
                 assert per != per[: d] * (len(per) // d)
         if b.preperiod:
             assert b.preperiod[-1] != per[-1]
-
-
-class TestFastConstructors:
-    def test_fraction_from_reduced_matches(self):
-        assert fraction_from_reduced(3, 8) == Fraction(3, 8)
-        assert hash(fraction_from_reduced(3, 8)) == hash(Fraction(3, 8))
-
-    def test_dyadic_fraction(self):
-        assert dyadic_fraction(12, 5) == Fraction(12, 32)
-        assert dyadic_fraction(0, 9) == 0
-        assert dyadic_fraction(1 << 10, 10) == 1
-        assert dyadic_fraction(-4, 3) == Fraction(-1, 2)
 
 
 class TestMultiplicativeOrder:

@@ -12,6 +12,7 @@ from tentlab.sawtooth import (
     NOT_A_SOLUTION,
     SAWTOOTH,
     Classification,
+    ProbeResult,
     classify_solution,
     linearity_probe,
     sawtooth,
@@ -33,6 +34,106 @@ def reference_eval(k, x):
     whole = y.numerator // y.denominator
     frac = y - whole
     return frac if whole % 2 == 0 else 1 - frac
+
+
+def _reference_value(g, num, depth):
+    return g(Fraction(num, 1 << depth))
+
+
+def _reference_slope(g, depth, index):
+    return (1 << depth) * (
+        _reference_value(g, index + 1, depth) - _reference_value(g, index, depth)
+    )
+
+
+def _off_secant(a, b, mid):
+    """Whether a + b != 2*mid, by cross-multiplication."""
+    an, ad = a.numerator, a.denominator
+    bn, bd = b.numerator, b.denominator
+    mn, md = mid.numerator, mid.denominator
+    return (an * bd + bn * ad) * md != 2 * mn * ad * bd
+
+
+def _scan_for_defect(g, p, k, budget):
+    """Shallowest strict sub-interval of I(p, k) with nonzero midpoint defect,
+    one Fraction evaluation per grid point."""
+    prev = [_reference_value(g, k, p), _reference_value(g, k + 1, p)]
+    for level in range(p + 1, budget + 1):
+        count = 1 << (level - p)
+        base = k << (level - p)
+        cur = [None] * (count + 1)
+        cur[0::2] = prev
+        for i in range(1, count, 2):
+            cur[i] = _reference_value(g, base + i, level)
+        if level >= p + 2:
+            half = k << (level - 1 - p)
+            for i in range(len(prev) - 1):
+                if _off_secant(prev[i], prev[i + 1], cur[2 * i + 1]):
+                    return (level - 1, half + i)
+        prev = cur
+    return None
+
+
+def reference_linearity_probe(g, start, depth_budget=20):
+    """The probe on Fraction values throughout, as an independent oracle."""
+    p, k = start
+    if p < 0 or not (0 <= k < (1 << p)):
+        raise ValueError(f"bad start interval ({p}, {k})")
+    if depth_budget < p:
+        raise ValueError("depth budget below start depth")
+    t = _reference_slope(g, p, k)
+    if t == 0:
+        raise ValueError("start interval has zero secant slope")
+    trace = [(p, k, t)]
+    while True:
+        if p >= depth_budget:
+            return ProbeResult("trace", p, k, t, tuple(trace), depth_budget)
+        gl = _reference_value(g, k, p)
+        gr = _reference_value(g, k + 1, p)
+        gm = _reference_value(g, 2 * k + 1, p + 1)
+        if _off_secant(gl, gr, gm):
+            t_left = (1 << (p + 1)) * (gm - gl)
+            t_right = (1 << (p + 1)) * (gr - gm)
+            if abs(t_left) == abs(t_right):
+                raise ValueError(
+                    "halves of equal absolute slope under a nonzero defect: "
+                    "the evaluator cannot commute with the tent map"
+                )
+            if abs(t_left) > abs(t_right):
+                k, t_new = 2 * k, t_left
+            else:
+                k, t_new = 2 * k + 1, t_right
+            if t_new * t < 0 or abs(t_new) <= abs(t):
+                raise ValueError(
+                    "refined slope failed to grow with matching sign: "
+                    "the evaluator cannot commute with the tent map"
+                )
+            p += 1
+            t = t_new
+            trace.append((p, k, t))
+            continue
+        found = _scan_for_defect(g, p, k, depth_budget)
+        if found is None:
+            return ProbeResult("linear", p, k, t, tuple(trace), depth_budget)
+        q, s = found
+        for j in range(p + 1, q + 1):
+            kj = s >> (q - j)
+            tj = _reference_slope(g, j, kj)
+            trace.append((j, kj, tj))
+            if tj != t:
+                raise ValueError(
+                    "slope changed across a defect-free refinement chain: "
+                    "the evaluator cannot commute with the tent map"
+                )
+        p, k = q, s
+
+
+def probe_outcome(probe, g, start, budget):
+    """A probe's result, or the type and message of the exception it raised."""
+    try:
+        return probe(g, start, budget)
+    except ValueError as exc:
+        return (type(exc), str(exc))
 
 
 class TestEval:
@@ -69,6 +170,11 @@ class TestEval:
             sawtooth_eval(0, HALF)
         with pytest.raises(ValueError):
             sawtooth_eval(3, Fraction(9, 8))
+
+    def test_evaluator_rejects_tooth_count_when_built(self):
+        for k in (0, -3):
+            with pytest.raises(ValueError, match=f"^tooth count must be >= 1, got {k}$"):
+                sawtooth(k)
 
 
 class TestBreakpoints:
@@ -254,3 +360,31 @@ class TestProbe:
         slopes = [abs(t) for _, _, t in result.trace]
         assert slopes == sorted(slopes)
         assert slopes[-1] > slopes[0]
+
+
+class TestIntReader:
+    """The int-pair probe against the Fraction reference probe."""
+
+    def test_probe_matches_reference(self):
+        for k in range(1, 17):
+            g = sawtooth(k)
+            for p in range(4):
+                for i in range(1 << p):
+                    for budget in (p, p + 3, 12):
+                        got = probe_outcome(linearity_probe, g, (p, i), budget)
+                        want = probe_outcome(reference_linearity_probe, g, (p, i), budget)
+                        assert got == want, (k, (p, i), budget)
+
+    def test_sawtooth_reader_matches_generic_reader(self):
+        for k in (3, 5, 6, 7):
+            generic = lambda x, g=sawtooth(k): g(x)  # noqa: E731
+            got = linearity_probe(sawtooth(k), (1, 0), 20)
+            assert got == linearity_probe(generic, (1, 0), 20), k
+
+    def test_secant_slopes_match_fraction_differences(self):
+        for k in range(1, 17):
+            for n in range(9):
+                values = [sawtooth_eval(k, Fraction(j, 1 << n)) for j in range((1 << n) + 1)]
+                want = [(1 << n) * (b - a) for a, b in zip(values, values[1:])]
+                assert secant_slopes(sawtooth(k), n) == want, (k, n)
+                assert secant_slopes(lambda x, g=sawtooth(k): g(x), n) == want, (k, n)
