@@ -17,24 +17,23 @@ audited against; the closed-form count, its recursion, and the per-level
 extension count are all computed side by side and their disagreements are
 reported, never reconciled.
 
-Both oracles run on the lattice of ``tent``: at depth n a value is ``j / D``
-with ``D = 3 * 2**(n-1)``, and index ``j`` of the fixed-point universe
-``preimage_set(n, "F").points`` holds ``j / D``.  The chain oracle steps down
-the tent's inverse branches ``j -> j/2`` and ``D - j/2`` on ints.  Each table
-comes with its row of numerators in grid order, and the oracle sorts on those
-rows; the lattice map is increasing, so that is the order of
-``CommutingTable.key``.  Tables share the universe's Fractions as values.
+Both oracles run on the lattice of ``tent``: at depth n the grid point
+``i / 2**(n-1)`` is slot i and a value is ``j / D`` with ``D = 3 * 2**(n-1)``.
+They return rows, the numerators j in grid order: the chain oracle steps down
+the inverse branches ``j -> j/2``, ``D - j/2``; the product filter applies the
+tent ``j -> 2j``, ``2D - 2j``.  Sorted rows are in ``CommutingTable.key``
+order, and a table built from a row reads it through a read-only view.
 """
 
 from __future__ import annotations
 
+from collections import Counter
+from collections.abc import Iterator, Mapping
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from operator import itemgetter
-from typing import Iterator, Mapping
 
 from .limits import check_depth
 from .rationals import TWO_THIRDS, ZERO, format_rational, parse_rational
@@ -102,6 +101,56 @@ class CommutingTable:
         )
 
 
+@lru_cache(maxsize=64)
+def _lattice(n: int) -> tuple[Fraction, ...]:
+    """The depth-n lattice: index j holds j / (3 * 2**(n-1))."""
+    return preimage_set(n, "F").points
+
+
+class _LatticeValues(Mapping):
+    """Read-only view of a lattice row: grid point -> value, in grid order.
+
+    Two views compare by their rows; any other mapping compares item by item.
+    """
+
+    __slots__ = ("n", "row", "_lattice")
+
+    def __init__(self, n: int, row: tuple[int, ...]):
+        self.n = n
+        self.row = row
+        self._lattice = _lattice(n)
+
+    def __getitem__(self, x):
+        # the grid point x = i / 2**(n-1) is slot i; hashing x would cost more
+        try:
+            i, rest = divmod(x.numerator * (len(self.row) - 1), x.denominator)
+        except AttributeError:
+            raise KeyError(x) from None
+        if rest or not 0 <= i < len(self.row):
+            raise KeyError(x)
+        return self._lattice[self.row[i]]
+
+    def __iter__(self):
+        return iter(grid_points(self.n))
+
+    def __len__(self):
+        return len(self.row)
+
+    def __eq__(self, other):
+        if isinstance(other, _LatticeValues):
+            return self.row == other.row and self.n == other.n
+        return Mapping.__eq__(self, other)
+
+    def __repr__(self):
+        return repr(dict(self))
+
+
+def _lattice_table(n: int, row: tuple[int, ...]) -> CommutingTable:
+    """The depth-n table whose values are the lattice row (numerators in grid order)."""
+    values = _LatticeValues(n, row)
+    return CommutingTable(n=n, x0=values._lattice[row[0]], values=values)
+
+
 def validate_commuting_table(t: CommutingTable) -> None:
     """Raise ValueError unless t satisfies every table invariant exactly."""
     if t.x0 != ZERO and t.x0 != TWO_THIRDS:
@@ -146,11 +195,7 @@ def check_psi_tilde(pt: PsiTilde) -> list[dict]:
                     violations.append(
                         {"property": 2, "word": word, "image": image, "prefix": parent}
                     )
-            zeros = 0
-            for bit in word:
-                if bit != 0:
-                    break
-                zeros += 1
+            zeros = next((i for i, bit in enumerate(word) if bit), m)
             if any(image[i] != pt.i0 for i in range(zeros)):
                 violations.append({"property": 3, "word": word, "image": image})
     return violations
@@ -234,50 +279,28 @@ def _extend_encoding(table: dict, m: int, n: int, i0: int) -> Iterator[PsiTilde]
     table.pop(zero, None)
 
 
-def _tent_preimages(y: Fraction) -> list[Fraction]:
-    left = inverse_branch(0, y)
-    right = inverse_branch(1, y)
-    return [left] if left == right else [left, right]
-
-
-def _chain_job(n: int, x0: Fraction, first: Fraction) -> list[tuple[tuple[int, ...], dict]]:
-    """All tables with given base value and given value at the point 1.
-
-    Walks the preimage-choice tree on lattice numerators over ``3 * 2**(n-1)``
-    (grid point ``k / 2**(n-1)`` is slot ``k``), keeping the Fraction dict in
-    step.  Each table is ``(row, values)``: the numerators in grid order and
-    the dict, keyed 0, 1, then the grid level by level.
-    """
-    points = grid_points(n)
-    lattice = preimage_set(n, "F").points  # lattice[j] == j / den
+def _chain_job(n: int, x0: Fraction, first: Fraction) -> list[tuple[int, ...]]:
+    """Rows of all tables with given base value and given value at the point 1."""
+    lattice = _lattice(n)
     den = len(lattice) - 1
-    half = len(points) - 1
+    half = den // 3
     # the point 1, then each level's new points: odd multiples of 1/2**(m-1)
     slots = [k for m in range(2, n + 1) for k in range(half >> (m - 1), half, half >> (m - 2))]
     parents = [2 * k if 2 * k <= half else 2 * (half - k) for k in slots]
-    keys = [points[k] for k in slots]
-    row = [0] * (half + 1)
-    row[0] = lattice.index(x0)
-    row[half] = lattice.index(first)
-    # every path reassigns every slot, so the dict keeps its key order
-    assignment: dict[Fraction, Fraction] = {ZERO: x0, points[half]: first}
-    results: list[tuple[tuple[int, ...], dict]] = []
+    row = [lattice.index(x0), *[0] * (half - 1), lattice.index(first)]
+    results: list[tuple[int, ...]] = []
     last = len(slots)
 
     def recurse(i: int) -> None:
         if i == last:
-            # copying a dict reuses its stored hashes
-            results.append((tuple(row), dict(assignment)))
+            results.append(tuple(row))
             return
         k = slots[i]
-        x = keys[i]
         j = row[parents[i]] >> 1
         row[k] = j
-        assignment[x] = lattice[j]
         recurse(i + 1)
         if 2 * j != den:
             row[k] = den - j
-            assignment[x] = lattice[den - j]
             recurse(i + 1)
 
     if row[half] in (row[0] >> 1, den - (row[0] >> 1)):
@@ -285,31 +308,23 @@ def _chain_job(n: int, x0: Fraction, first: Fraction) -> list[tuple[tuple[int, .
     return results
 
 
-def _product_job(n: int, x0: Fraction, first: Fraction) -> list[tuple[tuple[int, ...], dict]]:
+def _product_job(n: int, x0: Fraction, first: Fraction) -> list[tuple[int, ...]]:
     """Filter the full product space (value at 1 pinned) by the commutation check.
 
-    Candidates are tuples of indices into the fixed-point universe, so the
-    check compares ints; every candidate is still visited, and a Fraction
-    dict is built only for the tables that pass.  The universe is the
-    lattice, so a passing table is ``(row, values)`` as in ``_chain_job``.
+    Candidates are lattice rows; every one is visited, and the check applies
+    the tent to numerators, slot i going to slot 2i or 2(half - i).
     """
-    points = grid_points(n)
-    others = [p for p in points if p != ZERO and p != 1]
-    universe = preimage_set(n, "F").points
-    index = {v: i for i, v in enumerate(universe)}
-    tent_index = [index[tent(v)] for v in universe]
-    # a candidate row is (value at 0, value at 1, values at others...)
-    slot = {ZERO: 0, Fraction(1): 1, **{p: i + 2 for i, p in enumerate(others)}}
-    checks = [(slot[x], slot[tent(x)]) for x in points]
-    head = (index[x0], index[first])
-    results: list[tuple[tuple[int, ...], dict]] = []
-    for combo in product(range(len(universe)), repeat=len(others)):
-        row = head + combo
-        if all(tent_index[row[a]] == row[b] for a, b in checks):
-            values = {p: universe[i] for p, i in zip(others, combo)}
-            values[ZERO] = x0
-            values[Fraction(1)] = first
-            results.append(((head[0], *combo, head[1]), values))
+    lattice = _lattice(n)
+    den = len(lattice) - 1
+    half = den // 3
+    tent_row = [2 * j if 2 * j <= den else 2 * (den - j) for j in range(den + 1)]
+    checks = [(i, 2 * i if 2 * i <= half else 2 * (half - i)) for i in range(half + 1)]
+    head, tail = (lattice.index(x0),), (lattice.index(first),)
+    results: list[tuple[int, ...]] = []
+    for combo in product(range(den + 1), repeat=half - 1):
+        row = head + combo + tail
+        if all(tent_row[row[a]] == row[b] for a, b in checks):
+            results.append(row)
     return results
 
 
@@ -325,7 +340,8 @@ def brute_force_commuting(
     (n <= 3); "chain" walks the preimage-choice tree (n <= 5); "auto" picks
     product when it is feasible.  Output is canonically sorted and independent
     of the worker count: tables are sorted by their lattice rows, the same
-    order as ``CommutingTable.key``.
+    order as ``CommutingTable.key``.  ``workers > 1`` runs the jobs (one per
+    base value and value at 1) in a process pool that returns rows.
     """
     if n < 1:
         raise ValueError(f"depth must be positive, got {n}")
@@ -337,29 +353,21 @@ def brute_force_commuting(
     if method == "product":
         check_depth(n, _PRODUCT_BOUND, "brute_force_commuting[product]")
         # the dumb oracle scans every candidate value at the point 1
-        universe = preimage_set(n, "F").points
-        jobs = [("_product_job", (n, base, first)) for base in bases for first in universe]
+        job = _product_job
+        jobs = [(n, base, first) for base in bases for first in _lattice(n)]
     elif method == "chain":
         check_depth(n, _CHAIN_BOUND, "brute_force_commuting[chain]")
-        jobs = [
-            ("_chain_job", (n, base, first))
-            for base in bases
-            for first in _tent_preimages(base)
-        ]
+        # the tent sends 1 to 0, so the value at 1 is a preimage of the base
+        job = _chain_job
+        jobs = [(n, base, inverse_branch(b, base)) for base in bases for b in (0, 1)]
     else:
         raise ValueError(f"method must be auto, product or chain, got {method!r}")
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(_run_job, jobs))
+            chunks = list(pool.map(job, *zip(*jobs)))
     else:
-        chunks = [_run_job(job) for job in jobs]
-    pairs = sorted((pair for chunk in chunks for pair in chunk), key=itemgetter(0))
-    return [CommutingTable(n=n, x0=values[ZERO], values=values) for _, values in pairs]
-
-
-def _run_job(spec: tuple) -> list[tuple[tuple[int, ...], dict]]:
-    name, args = spec
-    return {"_chain_job": _chain_job, "_product_job": _product_job}[name](*args)
+        chunks = [job(*args) for args in jobs]
+    return [_lattice_table(n, row) for row in sorted(row for chunk in chunks for row in chunk)]
 
 
 def commutant_count_formula(n: int) -> int:
@@ -430,7 +438,7 @@ def pair_fiber_stats(n: int) -> dict:
     need every fiber to be a singleton and no conflicts.
     """
     oracle = brute_force_commuting(n)
-    fibers: dict = {}
+    fibers: Counter = Counter()
     pairs_total = 0
     conflicts = 0
     for pt in enumerate_psi_tilde(n):
@@ -441,11 +449,8 @@ def pair_fiber_stats(n: int) -> dict:
             conflicts += 1
             continue
         # psi_from_pair inserts the grid points in one fixed order
-        key = tuple(table.values.values())
-        fibers[key] = fibers.get(key, 0) + 1
-    fiber_sizes: dict[int, int] = {}
-    for size in fibers.values():
-        fiber_sizes[size] = fiber_sizes.get(size, 0) + 1
+        fibers[tuple(table.values.values())] += 1
+    fiber_sizes = Counter(fibers.values())
     return {
         "n": n,
         "pairs_total": pairs_total,

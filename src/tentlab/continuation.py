@@ -15,9 +15,9 @@ enumeration, never assumed.
 
 On the lattice of ``tent`` (numerators over ``3 * 2**(n-1)``) the k-tooth
 restriction is the row ``3 * tri(k*i mod 2**n)`` over the grid index i, with
-``tri(t) = min(t, 2**n - t)``.  Enumeration and the count audit deduplicate
-and sort these int rows and build a table only for each distinct row;
-``sawtooth_restriction`` reads a cached Fraction view of the same row.
+``tri(t) = min(t, 2**n - t)``.  Tables wrap such rows through the lattice
+constructor of ``commutants``, so their ``values`` are read-only views.  The
+decision reads one value, at alpha = 1/2**(n-1), which fixes the restriction.
 """
 
 from __future__ import annotations
@@ -26,11 +26,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .commutants import CommutingTable
+from .commutants import CommutingTable, _lattice_table
 from .limits import check_depth
 from .rationals import TWO_THIRDS, ZERO
 from .sawtooth import _fold
-from .tent import grid_points, preimage_set
+from .tent import grid_points
 
 _ENUM_BOUND = 10
 
@@ -75,8 +75,7 @@ class ContinuationSolution:
 
     def smallest_witness(self) -> int:
         """Least positive k in the classes (the modulus itself for the zero class)."""
-        candidates = [c if c > 0 else self.modulus for c in self.classes]
-        return min(candidates)
+        return min(c or self.modulus for c in self.classes)
 
 
 def solve_k0(prob: ContinuationProblem) -> ContinuationSolution:
@@ -101,8 +100,8 @@ def sawtooth_matches(prob: ContinuationProblem, k: int) -> bool:
 def _restriction_row(n: int, k: int) -> tuple[int, ...]:
     """The k-tooth sawtooth on the depth-n grid, as numerators over 3 * 2**(n-1).
 
-    At the grid index i the value is tri(k*i mod 2**n) / 2**(n-1), where
-    tri(t) folds t above 2**(n-1) back to 2**n - t.
+    At the grid index i the value is tri(k*i mod 2**n) / 2**(n-1): the fold
+    ``sawtooth._fold``, inlined because a call per element slows enumeration.
     """
     modulus = 1 << n
     half = modulus >> 1
@@ -111,11 +110,9 @@ def _restriction_row(n: int, k: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=4096)
-def _restriction_values(n: int, k: int) -> dict[Fraction, Fraction]:
-    """Shared cached Fraction view of the restriction row: callers copy it,
-    never mutate it."""
-    grid = grid_points(n)
-    return {x: grid[j // 3] for x, j in zip(grid, _restriction_row(n, k))}
+def _restriction_values(n: int, k: int) -> CommutingTable:
+    """The k-tooth restriction, cached and shared: its values are read-only."""
+    return _lattice_table(n, _restriction_row(n, k))
 
 
 def _rows(n: int) -> tuple[set, set]:
@@ -127,15 +124,15 @@ def _rows(n: int) -> tuple[set, set]:
 
 def sawtooth_restriction(n: int, k: int) -> CommutingTable:
     """The k-tooth sawtooth restricted to the depth-n grid."""
-    # a dict-to-dict copy reuses the stored hashes
-    return CommutingTable(n=n, x0=ZERO, values=_restriction_values(n, k).copy())
+    return _restriction_values(n, k)
 
 
 def constant_table(n: int, value: Fraction) -> CommutingTable:
     """The constant-0 or constant-2/3 table (the two constant solutions)."""
     if value != ZERO and value != TWO_THIRDS:
         raise ValueError(f"constant solutions take value 0 or 2/3, got {value}")
-    return CommutingTable(n=n, x0=value, values={x: value for x in grid_points(n)})
+    # 2/3 is 2**n / (3 * 2**(n-1))
+    return _lattice_table(n, (0 if value == ZERO else 1 << n,) * len(grid_points(n)))
 
 
 def continuable_from_point(prob: ContinuationProblem) -> CommutingTable:
@@ -163,17 +160,22 @@ class ContinuationVerdict:
 
 
 def is_tent_continuable(t: CommutingTable) -> ContinuationVerdict:
-    """Decide continuability by exhausting constants and k = 1..2**n.
+    """Decide continuability: the constants, then the one candidate restriction.
 
-    Restrictions only depend on +/-k mod 2**n, so the scan is complete.
+    The value at alpha = 1/2**(n-1) fixes a restriction to the +/-k0 classes;
+    their least k is the least in 1..2**n whose restriction can equal t.
     """
-    values = dict(t.values)
     for c in (ZERO, TWO_THIRDS):
-        if values == constant_table(t.n, c).values:
+        if t.values == constant_table(t.n, c).values:
             return ContinuationVerdict(continuable=True, constant=c)
-    for k in range(1, (1 << t.n) + 1):
-        if values == _restriction_values(t.n, k):
-            return ContinuationVerdict(continuable=True, witness_k=k)
+    alpha = Fraction(1, 1 << (t.n - 1))
+    try:
+        k = solve_k0(ContinuationProblem(t.n, alpha, t.values.get(alpha))).smallest_witness()
+    except (TypeError, ValueError):
+        # no value at alpha, or one off the grid: no sawtooth takes it there
+        return ContinuationVerdict(continuable=False)
+    if t.values == _restriction_values(t.n, k).values:
+        return ContinuationVerdict(continuable=True, witness_k=k)
     return ContinuationVerdict(continuable=False)
 
 
@@ -184,14 +186,7 @@ def enumerate_continuable(n: int) -> list[CommutingTable]:
     ``CommutingTable.key``); a table is built only for each distinct row.
     """
     check_depth(n, _ENUM_BOUND, "enumerate_continuable")
-    grid = grid_points(n)
-    lattice = preimage_set(n, "F").points  # lattice[j] == j / (3 * 2**(n-1))
-    return [
-        CommutingTable(
-            n=n, x0=lattice[row[0]], values=dict(zip(grid, map(lattice.__getitem__, row)))
-        )
-        for row in sorted(_rows(n)[1])
-    ]
+    return [_lattice_table(n, row) for row in sorted(_rows(n)[1])]
 
 
 def continuable_audit(n: int) -> dict:
@@ -202,13 +197,12 @@ def continuable_audit(n: int) -> dict:
     """
     check_depth(n, _ENUM_BOUND, "enumerate_continuable")
     sawtooths, rows = _rows(n)
-    sawtooth_count = len(sawtooths)
     distinct = len(rows)
     claimed = 1 << (n - 1)
     return {
         "n": n,
         "distinct_restrictions": distinct,
-        "sawtooth_restriction_count": sawtooth_count,
+        "sawtooth_restriction_count": len(sawtooths),
         "with_constants": distinct,
         "claimed": claimed,
         "matches_claim": distinct == claimed,

@@ -16,10 +16,9 @@ commuting table can take, is ``j / D`` with ``D = 3 * 2**(n-1)`` and
 ``0 <= j <= D``: kind ``A`` is ``j = 0 mod 3``, kind ``B`` is ``j = 1, 2 mod
 3`` and kind ``F`` is every ``j``, in increasing order, so index ``j`` of the
 kind-F points is ``j / D``.  On numerators the tent map is ``j -> 2j`` or
-``2D - 2j`` and its inverse branches are ``j -> j/2`` and ``D - j/2``.  Both
-preimage generators, the chain oracle in ``commutants`` and the restrictions
-in ``continuation`` work on these ints and build ``Fraction``s only for the
-values they return.
+``2D - 2j`` and its inverse branches are ``j -> j/2`` and ``D - j/2``.  The
+preimage generators work on these ints, and a commuting table is stored as
+its row of them in grid order, read through a view of the kind-F points.
 
 Addresses.  A word ``(j1, ..., jm)`` names the point obtained by feeding a
 base point through the inverse branches with ``j1`` applied first (innermost).

@@ -86,6 +86,26 @@ class TestGolden:
     @pytest.mark.parametrize(
         "golden, argv",
         [
+            ("continuable_n3_a34_b14.json", ["--n", "3", "--alpha", "3/4", "--beta", "1/4"]),
+            ("continuable_n5_a316_b516.json", ["--n", "5", "--alpha", "3/16", "--beta", "5/16"]),
+            # the constant-0 table answers first: witness_constant, no witness_k
+            ("continuable_n8_a1128_b0.json", ["--n", "8", "--alpha", "1/128", "--beta", "0"]),
+        ],
+    )
+    def test_continuable_witnesses(self, golden, argv):
+        cp = tentlab("continuable", *argv)
+        assert cp.returncode == 0
+        assert cp.stdout == (GOLDEN / golden).read_text()
+
+    def test_commutants_enumerate_both_bases(self):
+        # n = 3 takes the product filter
+        cp = tentlab("commutants", "enumerate", "--n", "3")
+        assert cp.returncode == 0
+        assert cp.stdout == (GOLDEN / "commutants_enumerate_n3.json").read_text()
+
+    @pytest.mark.parametrize(
+        "golden, argv",
+        [
             ("probe_k3_s10_d20.json", ["--k", "3", "--start", "1,0", "--depth", "20"]),
             ("probe_k7_s11_d20.json", ["--k", "7", "--start", "1,1", "--depth", "20"]),
             ("probe_k5_s10_d2.json", ["--k", "5", "--start", "1,0", "--depth", "2"]),

@@ -10,7 +10,6 @@ from tentlab.commutants import (
     _addresses,
     _chain_job,
     _product_job,
-    _tent_preimages,
     audit_counts,
     brute_force_commuting,
     check_psi_tilde,
@@ -163,12 +162,9 @@ class TestBruteForce:
 class TestProductFilter:
     @staticmethod
     def assert_same(n, base, first):
-        # equal dicts with equal insertion order
-        pairs = _product_job(n, base, first)
-        fast = [list(v.items()) for _, v in pairs]
-        slow = [list(v.items()) for v in reference_product_job(n, base, first)]
-        assert fast == slow, (n, base, first)
-        assert [row for row, _ in pairs] == [lattice_row(n, v) for _, v in pairs]
+        # equal rows, emitted in equal order
+        slow = reference_product_job(n, base, first)
+        assert _product_job(n, base, first) == [lattice_row(n, v) for v in slow], (n, base, first)
 
     def test_matches_reference_at_small_depth(self):
         for n in (1, 2):
@@ -188,22 +184,68 @@ class TestChainWalk:
     @pytest.mark.parametrize("n, base", CASES)
     def test_matches_reference(self, n, base):
         expected = []
-        for first in _tent_preimages(base):
-            pairs = _chain_job(n, base, first)
+        for first in (inverse_branch(0, base), inverse_branch(1, base)):
             slow = reference_chain_job(n, base, first)
-            # equal dicts with equal insertion order, emitted in equal order
-            assert [list(v.items()) for _, v in pairs] == [list(v.items()) for v in slow]
-            assert [row for row, _ in pairs] == [lattice_row(n, v) for _, v in pairs]
+            # equal rows, emitted in equal order
+            assert _chain_job(n, base, first) == [lattice_row(n, v) for v in slow]
             expected += [CommutingTable(n, base, v) for v in slow]
         expected.sort(key=CommutingTable.key)
         got = brute_force_commuting(n, x0=base, method="chain")
+        # equal tables in equal order, items in grid order
+        grid = grid_points(n)
         assert [(t.x0, list(t.values.items())) for t in got] == [
-            (t.x0, list(t.values.items())) for t in expected
+            (t.x0, [(x, t.values[x]) for x in grid]) for t in expected
         ]
+        assert [dict(t.values) for t in got] == [t.values for t in expected]
 
     def test_off_tree_first_value_yields_nothing(self):
         assert _chain_job(3, ZERO, F(1, 3)) == []
         assert _chain_job(3, TWO_THIRDS, F(0)) == []
+
+
+class TestLatticeValues:
+    def test_read_only(self):
+        for t in brute_force_commuting(2):
+            with pytest.raises(TypeError):
+                t.values[F(1, 2)] = F(0)
+            with pytest.raises(TypeError):
+                del t.values[F(0)]
+
+    def test_grid_order(self):
+        for n in (1, 2, 3):
+            for t in brute_force_commuting(n):
+                assert list(t.values) == list(grid_points(n))
+                assert [x for x, _ in t.values.items()] == list(grid_points(n))
+                assert list(t.values.values()) == [t.values[x] for x in grid_points(n)]
+
+    def test_equality_with_plain_dicts(self):
+        tables = brute_force_commuting(3)
+        for t in tables:
+            plain = dict(t.values)
+            assert t.values == plain and plain == t.values
+            changed = {**plain, F(1, 2): plain[F(1, 2)] + 1}
+            assert t.values != changed and changed != t.values
+        assert [t.values == u.values for t in tables for u in tables] == [
+            dict(t.values) == dict(u.values) for t in tables for u in tables
+        ]
+
+    def test_unequal_across_depths(self):
+        deep = brute_force_commuting(2)[0]
+        shallow = restrict_table(deep, 1)
+        shallow_view = brute_force_commuting(1)[0]
+        assert dict(shallow_view.values) == dict(shallow.values)
+        assert deep.values != shallow_view.values and shallow_view.values != deep.values
+        assert deep.values != dict(shallow_view.values)
+        assert dict(shallow_view.values) != deep.values
+
+    def test_lookups_off_the_grid(self):
+        t = brute_force_commuting(3)[-1]
+        for x in (F(1, 3), F(1, 8), F(-1, 4), F(5, 4), 2, "1/2"):
+            assert x not in t.values
+            assert t.values.get(x) is None
+            with pytest.raises(KeyError):
+                t.values[x]
+        assert t.values[0] == t.values[F(0)] and t.values[1] == t.values[F(1)]
 
 
 class TestValidation:

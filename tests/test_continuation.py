@@ -1,10 +1,13 @@
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
-from tentlab.commutants import CommutingTable, validate_commuting_table
+from tentlab.commutants import CommutingTable, brute_force_commuting, validate_commuting_table
 from tentlab.continuation import (
     ContinuationProblem,
+    ContinuationVerdict,
+    _restriction_row,
     constant_table,
     continuable_audit,
     continuable_from_point,
@@ -16,27 +19,42 @@ from tentlab.continuation import (
 )
 from tentlab.limits import DepthLimitError
 from tentlab.rationals import TWO_THIRDS, ZERO
-from tentlab.sawtooth import sawtooth_eval
+from tentlab.sawtooth import _fold, sawtooth_eval
 from tentlab.tent import grid_points, new_grid_points
 
 F = Fraction
 
 
+@lru_cache(maxsize=None)
 def reference_sawtooth_tables(n):
     """Every sawtooth restriction built from ``sawtooth_eval``, k = 1..2**n."""
     grid = grid_points(n)
-    return [
+    return tuple(
         CommutingTable(n, ZERO, {x: sawtooth_eval(k, x) for x in grid})
         for k in range(1, (1 << n) + 1)
-    ]
+    )
 
 
 def reference_continuable(n):
     """Distinct restrictions and constants, deduplicated and sorted on ``key()``."""
     tables = {}
-    for table in reference_sawtooth_tables(n) + [constant_table(n, c) for c in (ZERO, TWO_THIRDS)]:
+    constants = [constant_table(n, c) for c in (ZERO, TWO_THIRDS)]
+    for table in [*reference_sawtooth_tables(n), *constants]:
         tables.setdefault(table.key(), table)
     return [tables[key] for key in sorted(tables)]
+
+
+def reference_is_tent_continuable(t):
+    """The exhaustive scan over the constants and k = 1..2**n, kept as the reference."""
+    values = dict(t.values)
+    grid = grid_points(t.n)
+    for c in (ZERO, TWO_THIRDS):
+        if values == {x: c for x in grid}:
+            return ContinuationVerdict(continuable=True, constant=c)
+    for k, table in enumerate(reference_sawtooth_tables(t.n), start=1):
+        if values == table.values:
+            return ContinuationVerdict(continuable=True, witness_k=k)
+    return ContinuationVerdict(continuable=False)
 
 
 def all_problems(n):
@@ -121,12 +139,22 @@ class TestRestrictions:
             for k in range(1, (1 << n) + 1):
                 validate_commuting_table(sawtooth_restriction(n, k))
 
-    def test_restriction_is_a_private_copy(self):
+    def test_restriction_is_read_only(self):
         table = sawtooth_restriction(3, 5)
         expected = dict(table.values)
-        table.values[F(1, 4)] = F(2, 3)
-        del table.values[F(0)]
+        with pytest.raises(TypeError):
+            table.values[F(1, 4)] = F(2, 3)
+        with pytest.raises(TypeError):
+            del table.values[F(0)]
         assert sawtooth_restriction(3, 5).values == expected
+
+    def test_rows_match_the_sawtooth_fold(self):
+        # the rows inline sawtooth._fold
+        for n in range(1, 11):
+            half = 1 << (n - 1)
+            for k in range(1, (1 << n) + 3):
+                folded = tuple(3 * _fold(k, i, half) for i in range(half + 1))
+                assert _restriction_row(n, k) == folded, (n, k)
 
     def test_grid_values_stay_on_grid(self):
         for n in (2, 4, 6):
@@ -182,10 +210,47 @@ class TestIsContinuable:
 
     def test_agrees_with_enumeration(self):
         keys = {t.key() for t in enumerate_continuable(4)}
-        from tentlab.commutants import brute_force_commuting
-
         for t in brute_force_commuting(4):
             assert is_tent_continuable(t).continuable == (t.key() in keys)
+
+
+class TestDecisionAtAlpha:
+    """The one-restriction decision gives the verdict of the exhaustive scan."""
+
+    @staticmethod
+    def assert_same(table):
+        assert is_tent_continuable(table) == reference_is_tent_continuable(table), table
+
+    def test_oracle_tables(self):
+        for n in range(1, 5):
+            for t in brute_force_commuting(n):
+                self.assert_same(t)
+                self.assert_same(CommutingTable(t.n, t.x0, dict(t.values)))
+
+    def test_sawtooth_restrictions(self):
+        for n in range(1, 9):
+            for k in range(1, (1 << n) + 3):
+                self.assert_same(sawtooth_restriction(n, k))
+
+    def test_constants(self):
+        for n in range(1, 9):
+            for c in (ZERO, TWO_THIRDS):
+                self.assert_same(constant_table(n, c))
+                assert is_tent_continuable(constant_table(n, c)).constant == c
+
+    def test_off_grid_value_at_alpha(self):
+        for n in (1, 2, 3, 5):
+            alpha = F(1, 1 << (n - 1))
+            for beta in (F(1, 5), TWO_THIRDS):
+                values = {x: beta if x == alpha else ZERO for x in grid_points(n)}
+                table = CommutingTable(n, ZERO, values)
+                self.assert_same(table)
+                assert not is_tent_continuable(table).continuable
+
+    def test_missing_value_at_alpha(self):
+        table = CommutingTable(2, ZERO, {F(0): F(0), F(1): F(0)})
+        self.assert_same(table)
+        assert not is_tent_continuable(table).continuable
 
 
 class TestEnumerate:
@@ -268,9 +333,9 @@ class TestLatticeRows:
         for n in range(1, 9):
             got = enumerate_continuable(n)
             expected = reference_continuable(n)
-            # equal tables in equal order with equal dict insertion order
+            # equal tables in equal order, items in grid order
             assert [(t.n, t.x0, list(t.values.items())) for t in got] == [
-                (t.n, t.x0, list(t.values.items())) for t in expected
+                (t.n, t.x0, sorted(t.values.items())) for t in expected
             ], n
 
     def test_audit_matches_reference(self):
