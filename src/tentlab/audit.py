@@ -6,6 +6,9 @@ computation disagrees at the audited sizes), or ``not_desk_checkable`` (a
 limit statement; monotone finite-size bounds are printed instead).  Refuted
 claims are expected output, not failures: the point of the audit is to show
 exactly which counts survive enumeration.
+
+The product oracle's rows are computed once per process and shared: the
+encoding, fiber and count claims all read the same cached scan.
 """
 
 from __future__ import annotations
@@ -58,8 +61,8 @@ def _preimage_claims(depth: int) -> list[dict]:
     for n in range(1, depth + 1):
         closed = {}
         for kind in ("A", "B", "F"):
-            closed[kind] = preimage_set(n, kind, "closed_form").points
-            if closed[kind] != preimage_set(n, kind, "iterated").points:
+            closed[kind] = preimage_set(n, kind, "closed_form").numerators
+            if closed[kind] != preimage_set(n, kind, "iterated").numerators:
                 mismatches.append({"n": n, "kind": kind})
         if set(closed["A"]) | set(closed["B"]) != set(closed["F"]):
             union_fails.append(n)
@@ -102,7 +105,7 @@ def _encoding_claims(max_n: int) -> list[dict]:
             encoding = pair_from_psi(table)
             if check_psi_tilde(encoding):
                 property_failures.append(table.to_json_dict())
-            if dict(psi_from_pair(encoding).values) != dict(table.values):
+            if psi_from_pair(encoding).values != table.values:
                 round_trip_failures.append(table.to_json_dict())
     stats = [pair_fiber_stats(n) for n in range(1, bound + 1)]
     claims = [
@@ -204,16 +207,15 @@ def _continuation_claims() -> list[dict]:
                 ContinuationProblem(n, new_grid_points(n)[0], grid_points(n)[0])
             )
         )
+        # the value j / (3 * 2**(n-1)) is dyadic iff 3 divides j
         grid_valued = [
-            t
-            for t in enumerate_continuable(n)
-            if all(v.denominator & (v.denominator - 1) == 0 for v in t.values.values())
+            t for t in enumerate_continuable(n) if all(j % 3 == 0 for j in t.values.row)
         ]
         for alpha in new_grid_points(n):
             seen: dict = {}
             for t in grid_valued:
                 other = seen.get(t.values[alpha])
-                if other is not None and dict(other.values) != dict(t.values):
+                if other is not None and other.values != t.values:
                     uniqueness_failures.append({"n": n, "alpha": format_rational(alpha)})
                 seen[t.values[alpha]] = t
     audits = [continuable_audit(n) for n in range(1, 9)]

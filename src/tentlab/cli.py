@@ -74,7 +74,7 @@ def _cmd_preimages(args: argparse.Namespace) -> int:
     if args.method == "both":
         closed = preimage_set(args.n, args.kind, "closed_form")
         iterated = preimage_set(args.n, args.kind, "iterated")
-        if closed.points != iterated.points:
+        if closed.numerators != iterated.numerators:
             _emit_json(
                 args,
                 {

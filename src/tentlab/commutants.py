@@ -22,7 +22,9 @@ Both oracles run on the lattice of ``tent``: at depth n the grid point
 They return rows, the numerators j in grid order: the chain oracle steps down
 the inverse branches ``j -> j/2``, ``D - j/2``; the product filter applies the
 tent ``j -> 2j``, ``2D - 2j``.  Sorted rows are in ``CommutingTable.key``
-order, and a table built from a row reads it through a read-only view.
+order, and a table built from a row reads it through a read-only view.  The
+word codec reads the same branches: a length-m word addresses a numerator
+over D, and decoding fills a row with one witness word per grid slot.
 """
 
 from __future__ import annotations
@@ -38,7 +40,6 @@ from itertools import product
 from .limits import check_depth
 from .rationals import TWO_THIRDS, ZERO, format_rational, parse_rational
 from .tent import (
-    address_to_point,
     grid_points,
     inverse_branch,
     preimage_set,
@@ -172,31 +173,45 @@ def validate_commuting_table(t: CommutingTable) -> None:
         raise ValueError(f"values escape the preimage set of {t.x0} at {stray}")
 
 
+@lru_cache(maxsize=None)
+def _words(m: int) -> tuple[tuple[Word, Word | None, int], ...]:
+    """Length-m words in product order, each with its parent and zero-prefix length."""
+    return tuple(
+        (word, word[:-1] if m > 1 else None, next((i for i, bit in enumerate(word) if bit), m))
+        for word in product((0, 1), repeat=m)
+    )
+
+
 @lru_cache(maxsize=64)
-def _addresses(m: int, base: Fraction) -> dict[Word, Fraction]:
-    """Every length-m word, in product order, mapped to the point it addresses."""
-    return {word: address_to_point(word, base) for word in product((0, 1), repeat=m)}
+def _address_numerators(n: int, m: int, base: int) -> dict[Word, int]:
+    """Every length-m word, in product order, mapped to the numerator over
+    ``3 * 2**(n-1)`` of the point it addresses from the base numerator."""
+    den = 3 << (n - 1)
+    inner = (base,) if m == 1 else _address_numerators(n, m - 1, base).values()
+    ends = [end for j in inner for end in (j >> 1, den - (j >> 1))]
+    return dict(zip((word for word, _, _ in _words(m)), ends))
 
 
 def check_psi_tilde(pt: PsiTilde) -> list[dict]:
     """List violations of the three encoding properties, with witnesses."""
     violations = []
+    table = pt.table
+    pinned = [(pt.i0,) * zeros for zeros in range(pt.n + 1)]
     for m in range(1, pt.n + 1):
-        for word in product((0, 1), repeat=m):
-            image = pt.table.get(word)
-            if image is None or len(image) != len(word):
+        for word, parent_word, zeros in _words(m):
+            image = table.get(word)
+            if image is None or len(image) != m:
                 violations.append(
                     {"property": 1, "word": word, "image": image}
                 )
                 continue
-            if m > 1:
-                parent = pt.table.get(word[:-1])
+            if parent_word is not None:
+                parent = table.get(parent_word)
                 if parent is None or image[: m - 1] != parent:
                     violations.append(
                         {"property": 2, "word": word, "image": image, "prefix": parent}
                     )
-            zeros = next((i for i, bit in enumerate(word) if bit), m)
-            if any(image[i] != pt.i0 for i in range(zeros)):
+            if image[:zeros] != pinned[zeros]:
                 violations.append({"property": 3, "word": word, "image": image})
     return violations
 
@@ -214,37 +229,46 @@ def psi_from_pair(pt: PsiTilde) -> CommutingTable:
     bad = check_psi_tilde(pt)
     if bad:
         raise ValueError(f"encoding violates properties: {bad[:3]}")
-    x0 = ZERO if pt.i0 == 0 else TWO_THIRDS
-    values: dict[Fraction, Fraction] = {ZERO: x0}
-    witnesses: dict[Fraction, Word] = {}
-    for m in range(1, pt.n + 1):
-        images = _addresses(m, x0)
-        for word, x in _addresses(m, ZERO).items():
-            y = images[pt.table[word]]
-            witness = witnesses.setdefault(x, word)
-            if witness == word:
-                values[x] = y
-            elif values[x] != y:
+    n, table = pt.n, pt.table
+    half = 1 << (n - 1)
+    base = 0 if pt.i0 == 0 else 2 * half
+    # slot i holds the value numerator at i / 2**(n-1) and the word that set it
+    row = [base] + [0] * half
+    witnesses: list[Word | None] = [None] * (half + 1)
+    for m in range(1, n + 1):
+        images = _address_numerators(n, m, base)
+        for word, x in _address_numerators(n, m, 0).items():
+            y = images[table[word]]
+            i = x // 3
+            witness = witnesses[i]
+            if witness is None:
+                witnesses[i], row[i] = word, y
+            elif row[i] != y:
                 raise AddressConflict(
-                    f"words {witness} and {word} both address {x} "
-                    f"but decode to {values[x]} and {y}"
+                    f"words {witness} and {word} both address {Fraction(i, half)} "
+                    f"but decode to {Fraction(row[i], 3 * half)} and {Fraction(y, 3 * half)}"
                 )
-    return CommutingTable(n=pt.n, x0=x0, values=values)
+    return _lattice_table(n, tuple(row))
 
 
 def pair_from_psi(t: CommutingTable) -> PsiTilde:
     """Encode a commuting table, choosing the lexicographically least word per value."""
+    if t.x0 != ZERO and t.x0 != TWO_THIRDS:
+        raise ValueError(f"base value must be 0 or 2/3, got {t.x0}")
     i0 = 0 if t.x0 == ZERO else 1
+    den = 3 << (t.n - 1)
+    base = 0 if i0 == 0 else 1 << t.n
+    grid = grid_points(t.n)
     table: dict[Word, Word] = {}
     for m in range(1, t.n + 1):
-        least_word: dict[Fraction, Word] = {}
-        for word, y in _addresses(m, t.x0).items():
+        least_word: dict[int, Word] = {}
+        for word, y in _address_numerators(t.n, m, base).items():
             least_word.setdefault(y, word)
-        for word, x in _addresses(m, ZERO).items():
-            y = t.values[x]
-            image = least_word.get(y)
+        for word, j in _address_numerators(t.n, m, 0).items():
+            x = grid[j // 3]
+            image = least_word.get(t.values[x] * den)
             if image is None:
-                raise ValueError(f"value {y} at {x} is not addressable from {t.x0}")
+                raise ValueError(f"value {t.values[x]} at {x} is not addressable from {t.x0}")
             table[word] = image
     return PsiTilde(n=t.n, i0=i0, table=table)
 
@@ -266,15 +290,13 @@ def _extend_encoding(table: dict, m: int, n: int, i0: int) -> Iterator[PsiTilde]
     if m > n:
         yield PsiTilde(n=n, i0=i0, table=dict(table))
         return
-    zero = (0,) * m
-    nonzero = [w for w in product((0, 1), repeat=m) if w != zero]
+    (zero, _, _), *nonzero = _words(m)
     table[zero] = (i0,) * m
     for bits in product((0, 1), repeat=len(nonzero)):
-        for word, bit in zip(nonzero, bits):
-            parent = table[word[:-1]] if m > 1 else ()
-            table[word] = parent + (bit,)
+        for (word, parent, _), bit in zip(nonzero, bits):
+            table[word] = (table[parent] if m > 1 else ()) + (bit,)
         yield from _extend_encoding(table, m + 1, n, i0)
-    for word in nonzero:
+    for word, _, _ in nonzero:
         table.pop(word, None)
     table.pop(zero, None)
 
@@ -328,6 +350,12 @@ def _product_job(n: int, x0: Fraction, first: Fraction) -> list[tuple[int, ...]]
     return results
 
 
+@lru_cache(maxsize=64)
+def _product_rows(n: int, x0: Fraction, first: Fraction) -> tuple[tuple[int, ...], ...]:
+    """The product filter's rows, scanned once per process (n <= 3: 48 entries)."""
+    return tuple(_product_job(n, x0, first))
+
+
 def brute_force_commuting(
     n: int,
     x0: Fraction | None = None,
@@ -353,7 +381,7 @@ def brute_force_commuting(
     if method == "product":
         check_depth(n, _PRODUCT_BOUND, "brute_force_commuting[product]")
         # the dumb oracle scans every candidate value at the point 1
-        job = _product_job
+        job = _product_rows
         jobs = [(n, base, first) for base in bases for first in _lattice(n)]
     elif method == "chain":
         check_depth(n, _CHAIN_BOUND, "brute_force_commuting[chain]")
@@ -439,22 +467,18 @@ def pair_fiber_stats(n: int) -> dict:
     """
     oracle = brute_force_commuting(n)
     fibers: Counter = Counter()
-    pairs_total = 0
     conflicts = 0
     for pt in enumerate_psi_tilde(n):
-        pairs_total += 1
         try:
-            table = psi_from_pair(pt)
+            fibers[psi_from_pair(pt).values.row] += 1
         except AddressConflict:
             conflicts += 1
-            continue
-        # psi_from_pair inserts the grid points in one fixed order
-        fibers[tuple(table.values.values())] += 1
+    consistent = fibers.total()
     fiber_sizes = Counter(fibers.values())
     return {
         "n": n,
-        "pairs_total": pairs_total,
-        "pairs_consistent": pairs_total - conflicts,
+        "pairs_total": consistent + conflicts,
+        "pairs_consistent": consistent,
         "pairs_conflicting": conflicts,
         "distinct_tables_from_pairs": len(fibers),
         "oracle_tables": len(oracle),

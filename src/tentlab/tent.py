@@ -17,8 +17,11 @@ commuting table can take, is ``j / D`` with ``D = 3 * 2**(n-1)`` and
 3`` and kind ``F`` is every ``j``, in increasing order, so index ``j`` of the
 kind-F points is ``j / D``.  On numerators the tent map is ``j -> 2j`` or
 ``2D - 2j`` and its inverse branches are ``j -> j/2`` and ``D - j/2``.  The
-preimage generators work on these ints, and a commuting table is stored as
-its row of them in grid order, read through a view of the kind-F points.
+preimage generators work on these ints: a :class:`PreimageSet` stores ``D``
+and its increasing numerators, checks them as ints, and builds its
+``points`` as Fractions only on first access.  A commuting table is stored
+as its row of numerators in grid order, read through a view of the kind-F
+points.
 
 Addresses.  A word ``(j1, ..., jm)`` names the point obtained by feeding a
 base point through the inverse branches with ``j1`` applied first (innermost).
@@ -31,7 +34,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from operator import lt
 from typing import Sequence
 
 from .limits import check_depth
@@ -122,32 +126,40 @@ def address_to_point(
 
 @dataclass(frozen=True)
 class PreimageSet:
-    """Sorted exact preimage set of one of the fixed-point targets."""
+    """Sorted exact preimage set of one of the fixed-point targets: the points
+    ``j / den`` for j in ``numerators``, ``den = 3 * 2**(n-1)``, cached as ``points``."""
 
     n: int
     kind: str
-    points: tuple[Fraction, ...]
+    den: int
+    numerators: tuple[int, ...]
 
     def __post_init__(self):
         if self.kind not in PREIMAGE_KINDS:
             raise ValueError(f"kind must be one of {PREIMAGE_KINDS}, got {self.kind!r}")
         if self.n < 1:
             raise ValueError(f"depth must be positive, got {self.n}")
+        if self.den != 3 << (self.n - 1):
+            raise ValueError(f"denominator at depth {self.n} must be {3 << (self.n - 1)}")
+        nums = self.numerators
         expected = {
             "A": (1 << (self.n - 1)) + 1,
             "B": 1 << self.n,
             "F": 3 * (1 << (self.n - 1)) + 1,
         }[self.kind]
-        if len(self.points) != expected:
+        if len(nums) != expected:
             raise ValueError(
                 f"kind {self.kind} at depth {self.n} must have {expected} points, "
-                f"got {len(self.points)}"
+                f"got {len(nums)}"
             )
-        for left, right in zip(self.points, self.points[1:]):
-            if not left < right:
-                raise ValueError("points must be strictly increasing")
-        if self.points and not (0 <= self.points[0] and self.points[-1] <= 1):
+        if not all(map(lt, nums, nums[1:])):
+            raise ValueError("points must be strictly increasing")
+        if not (0 <= nums[0] and nums[-1] <= self.den):
             raise ValueError("points must lie in [0, 1]")
+
+    @cached_property
+    def points(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(j, self.den) for j in self.numerators)
 
     def to_json_dict(self) -> dict:
         return {
@@ -157,28 +169,26 @@ class PreimageSet:
         }
 
 
-def _closed_form_points(n: int, kind: str) -> list[Fraction]:
-    # j / den in lattice order: A is j = 0 mod 3, B is j = 1, 2 mod 3, F is all j
+def _closed_form_numerators(n: int, kind: str) -> tuple[int, ...]:
+    # A is j = 0 mod 3, B is j = 1, 2 mod 3, F is every j
     den = 3 << (n - 1)
     if kind == "A":
-        numerators = range(0, den + 1, 3)
-    elif kind == "B":
-        numerators = (j for j in range(den) if j % 3)
-    else:
-        numerators = range(den + 1)
-    return [Fraction(j, den) for j in numerators]
+        return tuple(range(0, den + 1, 3))
+    if kind == "B":
+        return tuple(j for j in range(den) if j % 3)
+    return tuple(range(den + 1))
 
 
-def _iterated_points(n: int, kind: str) -> list[Fraction]:
+def _iterated_numerators(n: int, kind: str) -> tuple[int, ...]:
     # Numerators over 3 * 2**n: 2/3 is 2**(n+1), and each pullback halves,
-    # so every y is even when it is halved.
+    # so every y is even when it is halved, and at the end.
     den = 3 << n
     targets = {"A": [0], "B": [2 << n], "F": [0, 2 << n]}[kind]
     current = set(targets)
     for _ in range(n):
         # Both branches collide on the preimage of 1, hence the set.
         current = {y >> 1 for y in current} | {den - (y >> 1) for y in current}
-    return [Fraction(y, den) for y in sorted(current)]
+    return tuple(y >> 1 for y in sorted(current))
 
 
 def preimage_set(n: int, kind: str, method: str = "closed_form") -> PreimageSet:
@@ -189,12 +199,12 @@ def preimage_set(n: int, kind: str, method: str = "closed_form") -> PreimageSet:
         raise ValueError(f"depth must be positive, got {n}")
     check_depth(n, _DEFAULT_DEPTH_BOUND, "preimage_set")
     if method == "closed_form":
-        points = _closed_form_points(n, kind)
+        numerators = _closed_form_numerators(n, kind)
     elif method == "iterated":
-        points = _iterated_points(n, kind)
+        numerators = _iterated_numerators(n, kind)
     else:
         raise ValueError(f"method must be 'closed_form' or 'iterated', got {method!r}")
-    return PreimageSet(n=n, kind=kind, points=tuple(points))
+    return PreimageSet(n=n, kind=kind, den=3 << (n - 1), numerators=numerators)
 
 
 @lru_cache(maxsize=64)

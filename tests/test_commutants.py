@@ -7,9 +7,10 @@ from tentlab.commutants import (
     AddressConflict,
     CommutingTable,
     PsiTilde,
-    _addresses,
+    _address_numerators,
     _chain_job,
     _product_job,
+    _product_rows,
     audit_counts,
     brute_force_commuting,
     check_psi_tilde,
@@ -80,6 +81,52 @@ def reference_chain_job(n, x0, first):
     if first in preimages(x0):
         recurse(1)
     return results
+
+
+def reference_check_psi_tilde(pt):
+    """The encoding-property check on slices and generators, kept as the slow reference."""
+    violations = []
+    for m in range(1, pt.n + 1):
+        for word in product((0, 1), repeat=m):
+            image = pt.table.get(word)
+            if image is None or len(image) != len(word):
+                violations.append({"property": 1, "word": word, "image": image})
+                continue
+            if m > 1:
+                parent = pt.table.get(word[:-1])
+                if parent is None or image[: m - 1] != parent:
+                    violations.append(
+                        {"property": 2, "word": word, "image": image, "prefix": parent}
+                    )
+            zeros = next((i for i, bit in enumerate(word) if bit), m)
+            if any(image[i] != pt.i0 for i in range(zeros)):
+                violations.append({"property": 3, "word": word, "image": image})
+    return violations
+
+
+def reference_psi_from_pair(pt):
+    """Decoding on Fraction-keyed dicts, kept as the slow reference."""
+    bad = reference_check_psi_tilde(pt)
+    if bad:
+        raise ValueError(f"encoding violates properties: {bad[:3]}")
+    x0 = ZERO if pt.i0 == 0 else TWO_THIRDS
+    values = {ZERO: x0}
+    witnesses = {}
+    for m in range(1, pt.n + 1):
+        words = list(product((0, 1), repeat=m))
+        images = {w: address_to_point(w, x0) for w in words}
+        for word in words:
+            x = address_to_point(word, ZERO)
+            y = images[pt.table[word]]
+            witness = witnesses.setdefault(x, word)
+            if witness == word:
+                values[x] = y
+            elif values[x] != y:
+                raise AddressConflict(
+                    f"words {witness} and {word} both address {x} "
+                    f"but decode to {values[x]} and {y}"
+                )
+    return CommutingTable(n=pt.n, x0=x0, values=values)
 
 
 def lattice_row(n, values):
@@ -176,6 +223,17 @@ class TestProductFilter:
         for base in (ZERO, TWO_THIRDS):
             for first in (F(0), F(1, 3), F(1, 2), F(1), F(2, 3), F(5, 6)):
                 self.assert_same(3, base, first)
+
+
+def test_product_rows_are_cached_job_rows():
+    for n in (1, 2):
+        for base in (ZERO, TWO_THIRDS):
+            for first in preimage_set(n, "F").points:
+                rows = _product_rows(n, base, first)
+                assert rows == tuple(_product_job(n, base, first))
+                assert _product_rows(n, base, first) is rows
+    first = brute_force_commuting(3)
+    assert [t.key() for t in brute_force_commuting(3)] == [t.key() for t in first]
 
 
 class TestChainWalk:
@@ -364,12 +422,59 @@ class TestEncoding:
 
 
 def test_cached_addresses_match_address_to_point():
-    for m in range(1, 5):
+    for n in range(1, 6):
+        den = 3 << (n - 1)
         for base in (ZERO, TWO_THIRDS):
-            addresses = _addresses(m, base)
-            assert list(addresses) == list(product((0, 1), repeat=m))
-            for word, point in addresses.items():
-                assert point == address_to_point(word, base)
+            for m in range(1, n + 1):
+                addresses = _address_numerators(n, m, int(base * den))
+                assert list(addresses) == list(product((0, 1), repeat=m))
+                for word, j in addresses.items():
+                    assert F(j, den) == address_to_point(word, base)
+
+
+def mutations(pt):
+    """Every single-word mutation: drop a word, truncate an image, flip an image bit."""
+    for word, image in pt.table.items():
+        dropped = dict(pt.table)
+        del dropped[word]
+        yield PsiTilde(pt.n, pt.i0, dropped)
+        yield PsiTilde(pt.n, pt.i0, {**pt.table, word: image[:-1]})
+        for i in range(len(image)):
+            flipped = image[:i] + (1 - image[i],) + image[i + 1 :]
+            yield PsiTilde(pt.n, pt.i0, {**pt.table, word: flipped})
+
+
+def decode_outcome(decode, pt):
+    try:
+        table = decode(pt)
+    except AddressConflict as exc:
+        return "conflict", str(exc)
+    except ValueError as exc:
+        return "invalid", str(exc)
+    return "table", table.x0, dict(table.values)
+
+
+class TestCodecMatchesReference:
+    def assert_same(self, pt):
+        assert check_psi_tilde(pt) == reference_check_psi_tilde(pt), pt
+        assert decode_outcome(psi_from_pair, pt) == decode_outcome(
+            reference_psi_from_pair, pt
+        ), pt
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_every_encoding(self, n):
+        for pt in enumerate_psi_tilde(n):
+            self.assert_same(pt)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_every_single_word_mutation(self, n):
+        outcomes = set()
+        for pt in enumerate_psi_tilde(n):
+            for bad in mutations(pt):
+                self.assert_same(bad)
+                outcomes.add(decode_outcome(psi_from_pair, bad)[0])
+        # at depth 1 no two words address one point, so nothing can conflict
+        assert outcomes == {"invalid", "table"} | ({"conflict"} if n > 1 else set())
 
 
 class TestPairFromPsi:
@@ -392,6 +497,18 @@ class TestPairFromPsi:
                 back = psi_from_pair(pair_from_psi(t))
                 assert dict(back.values) == dict(t.values)
                 assert back.x0 == t.x0
+
+    def test_plain_dict_tables(self):
+        for n in (1, 2, 3):
+            for t in brute_force_commuting(n):
+                plain = CommutingTable(n, t.x0, dict(t.values))
+                assert pair_from_psi(plain) == pair_from_psi(t)
+
+    def test_unaddressable_values_rejected(self):
+        with pytest.raises(ValueError, match="not addressable"):
+            pair_from_psi(CommutingTable(1, ZERO, {F(0): F(0), F(1): F(1, 3)}))
+        with pytest.raises(ValueError, match="base value must be 0 or 2/3"):
+            pair_from_psi(CommutingTable(1, F(1, 2), {F(0): F(1, 2), F(1): F(1, 4)}))
 
     def test_base_bit_anchoring(self):
         # the base value pins the base bit: 2/3 is fixed by branch 1 only

@@ -186,9 +186,10 @@ class TestPreimageSets:
 
     @pytest.mark.parametrize("kind", ["A", "B", "F"])
     def test_lattice_generators_match_fraction_references(self, kind):
-        for n in range(1, 11):
-            closed = preimage_set(n, kind, "closed_form").points
-            iterated = preimage_set(n, kind, "iterated").points
+        for n in range(1, 13):
+            sets = preimage_set(n, kind, "closed_form"), preimage_set(n, kind, "iterated")
+            assert all(s.den == 3 << (n - 1) and s.points is s.points for s in sets)
+            closed, iterated = (s.points for s in sets)
             assert list(closed) == reference_closed_form_points(n, kind), (n, kind)
             assert list(iterated) == reference_iterated_points(n, kind), (n, kind)
             assert all(type(p) is Fraction for p in closed + iterated)
@@ -231,9 +232,30 @@ class TestPreimageSets:
 
     def test_invariant_enforcement(self):
         with pytest.raises(ValueError):
-            PreimageSet(n=1, kind="A", points=(Fraction(0),))
+            PreimageSet(n=1, kind="A", den=3, numerators=(0,))
         with pytest.raises(ValueError):
-            PreimageSet(n=1, kind="Z", points=(Fraction(0), Fraction(1)))
+            PreimageSet(n=1, kind="Z", den=3, numerators=(0, 3))
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ((2, "A", 6, (0, 3)), "must have 3 points"),
+            ((2, "A", 6, (0, 3, 6, 9)), "must have 3 points"),
+            ((2, "A", 6, (0, 6, 3)), "strictly increasing"),
+            ((2, "A", 6, (0, 3, 3)), "strictly increasing"),
+            ((2, "A", 6, (-3, 0, 3)), r"lie in \[0, 1\]"),
+            ((2, "A", 6, (0, 3, 7)), r"lie in \[0, 1\]"),
+            ((1, "B", 4, (1, 2)), "denominator at depth 1 must be 3"),
+            ((1, "B", 6, (2, 4)), "denominator at depth 1 must be 3"),
+            ((1, "G", 3, (1, 2)), "kind must be one of"),
+            ((0, "A", 3, (0,)), "depth must be positive"),
+            ((-1, "F", 3, (0,)), "depth must be positive"),
+        ],
+    )
+    def test_invalid_constructions(self, fields, message):
+        n, kind, den, numerators = fields
+        with pytest.raises(ValueError, match=message):
+            PreimageSet(n=n, kind=kind, den=den, numerators=numerators)
 
 
 def test_new_grid_points():
