@@ -8,7 +8,10 @@ claims are expected output, not failures: the point of the audit is to show
 exactly which counts survive enumeration.
 
 The product oracle's rows are computed once per process and shared: the
-encoding, fiber and count claims all read the same cached scan.
+encoding, fiber and count claims all read the same cached scan.  The residue
+and continuation claims compare ints: the k-tooth fold at alpha = i / 2**(n-1)
+with beta = p / 2**(n-1), and row slot i with 3p.  They still call ``solve_k0``
+and ``continuable_from_point`` for every (alpha, beta).
 """
 
 from __future__ import annotations
@@ -33,11 +36,10 @@ from .continuation import (
     continuable_audit,
     continuable_from_point,
     enumerate_continuable,
-    sawtooth_matches,
     solve_k0,
 )
 from .rationals import format_rational
-from .sawtooth import sawtooth, verify_commutation
+from .sawtooth import _fold, sawtooth, verify_commutation
 from .tent import grid_points, new_grid_points, preimage_set
 
 CONFIRMED = "confirmed"
@@ -172,15 +174,17 @@ def _count_claims(max_n: int, workers: int) -> list[dict]:
 def _residue_claims() -> list[dict]:
     failures = []
     for n in range(2, 7):
+        ks = range(1, (1 << (n + 2)) + 1)
         for alpha in new_grid_points(n):
+            values = [_fold(k, alpha.numerator, alpha.denominator) for k in ks]
             for beta in grid_points(n):
                 prob = ContinuationProblem(n, alpha, beta)
-                sol = solve_k0(prob)
-                for k in range(1, (1 << (n + 2)) + 1):
-                    if sawtooth_matches(prob, k) != (k % sol.modulus in sol.classes):
-                        failures.append(
-                            {"n": n, "alpha": format_rational(alpha), "k": k}
-                        )
+                sol, p = solve_k0(prob), prob.p
+                failures += [
+                    {"n": n, "alpha": format_rational(alpha), "k": k}
+                    for k, v in zip(ks, values)
+                    if (v == p) != (k % sol.modulus in sol.classes)
+                ]
     return [
         _claim(
             "matching-tooth-residues",
@@ -199,8 +203,8 @@ def _continuation_claims() -> list[dict]:
     for n in range(2, 9):
         for alpha in new_grid_points(n):
             for beta in grid_points(n):
-                table = continuable_from_point(ContinuationProblem(n, alpha, beta))
-                if table.values[alpha] != beta:
+                prob = ContinuationProblem(n, alpha, beta)
+                if continuable_from_point(prob).values.row[alpha.numerator] != 3 * prob.p:
                     existence_failures.append({"n": n, "alpha": format_rational(alpha)})
         validate_commuting_table(
             continuable_from_point(
@@ -208,16 +212,15 @@ def _continuation_claims() -> list[dict]:
             )
         )
         # the value j / (3 * 2**(n-1)) is dyadic iff 3 divides j
-        grid_valued = [
-            t for t in enumerate_continuable(n) if all(j % 3 == 0 for j in t.values.row)
-        ]
+        rows = [t.values.row for t in enumerate_continuable(n)]
+        grid_valued = [row for row in rows if all(j % 3 == 0 for j in row)]
         for alpha in new_grid_points(n):
+            i = alpha.numerator
             seen: dict = {}
-            for t in grid_valued:
-                other = seen.get(t.values[alpha])
-                if other is not None and other.values != t.values:
+            for row in grid_valued:
+                if seen.get(row[i], row) != row:
                     uniqueness_failures.append({"n": n, "alpha": format_rational(alpha)})
-                seen[t.values[alpha]] = t
+                seen[row[i]] = row
     audits = [continuable_audit(n) for n in range(1, 9)]
     claims_ok = all(a["matches_claim"] for a in audits)
     return [

@@ -16,8 +16,10 @@ enumeration, never assumed.
 On the lattice of ``tent`` (numerators over ``3 * 2**(n-1)``) the k-tooth
 restriction is the row ``3 * tri(k*i mod 2**n)`` over the grid index i, with
 ``tri(t) = min(t, 2**n - t)``.  Tables wrap such rows through the lattice
-constructor of ``commutants``, so their ``values`` are read-only views.  The
-decision reads one value, at alpha = 1/2**(n-1), which fixes the restriction.
+constructor of ``commutants``, so their ``values`` are read-only views.
+Problems are validated on ints, and a point is checked by slot: alpha =
+i/2**(n-1) is slot i, where beta = p/2**(n-1) is 3p.  The decision reads one
+value, at alpha = 1/2**(n-1), which fixes the restriction.
 """
 
 from __future__ import annotations
@@ -47,13 +49,15 @@ class ContinuationProblem:
         if self.n < 1:
             raise ValueError(f"depth must be positive, got {self.n}")
         scale = 1 << (self.n - 1)
-        if not (0 <= self.alpha <= 1 and 0 <= self.beta <= 1):
+        a, ad = self.alpha.numerator, self.alpha.denominator
+        b, bd = self.beta.numerator, self.beta.denominator
+        if not (0 <= a <= ad and 0 <= b <= bd):
             raise ValueError("alpha and beta must lie in [0, 1]")
-        if self.alpha.denominator != scale or self.alpha.numerator % 2 == 0:
+        if ad != scale or a % 2 == 0:
             raise ValueError(
                 f"alpha must be an odd numerator over 2**{self.n - 1}, got {self.alpha}"
             )
-        if scale % self.beta.denominator != 0:
+        if scale % bd != 0:
             raise ValueError(f"beta must lie on the depth-{self.n} grid, got {self.beta}")
 
     @property
@@ -142,11 +146,11 @@ def continuable_from_point(prob: ContinuationProblem) -> CommutingTable:
     (the class of 0 mod 2**n is realized by k = 2**n, the constant-0
     restriction).
     """
-    solution = solve_k0(prob)
-    table = sawtooth_restriction(prob.n, solution.smallest_witness())
-    if table.values[prob.alpha] != prob.beta:
+    k = solve_k0(prob).smallest_witness()
+    table = sawtooth_restriction(prob.n, k)
+    if table.values.row[prob.alpha.numerator] != 3 * prob.p:
         raise AssertionError(
-            f"solver produced k={solution.smallest_witness()} but the restriction "
+            f"solver produced k={k} but the restriction "
             f"misses beta at alpha={prob.alpha}"
         )
     return table
@@ -171,7 +175,7 @@ def is_tent_continuable(t: CommutingTable) -> ContinuationVerdict:
     alpha = Fraction(1, 1 << (t.n - 1))
     try:
         k = solve_k0(ContinuationProblem(t.n, alpha, t.values.get(alpha))).smallest_witness()
-    except (TypeError, ValueError):
+    except (AttributeError, ValueError):
         # no value at alpha, or one off the grid: no sawtooth takes it there
         return ContinuationVerdict(continuable=False)
     if t.values == _restriction_values(t.n, k).values:

@@ -14,8 +14,10 @@ when none exists down to the depth budget.  The probe and
 :func:`secant_slopes` read an evaluator one dyadic level at a time, as int
 ``(num, den)`` pairs at ``j / 2**L``, and compare them by cross-multiplication.
 On a sawtooth the value there is the int fold of ``k*j mod 2**(L+1)``; any
-other evaluator is called on ``Fraction(j, 2**L)``.  ``Fraction``s appear only
-in returned values.  Everything is exact; no floats.
+other evaluator is called on ``Fraction(j, 2**L)``.  :func:`verify_commutation`
+reads a sawtooth through the same fold at a Fraction sample ``j / d``, over
+``d``, where the tent is the 2-tooth fold.  ``Fraction``s appear only in
+returned values.  Everything is exact; no floats.
 """
 
 from __future__ import annotations
@@ -93,10 +95,18 @@ class CommutationReport:
 
 def verify_commutation(g: Evaluator, samples: Iterable[Fraction]) -> CommutationReport:
     """Check g(f(x)) == f(g(x)) exactly on the samples; witnesses are failures."""
+    k = g.k if isinstance(g, _Sawtooth) else None
     witnesses = []
     for x in samples:
-        after = g(tent(x))
-        before = tent(g(x))
+        if k is None or not isinstance(x, Fraction):
+            after, before = g(tent(x)), tent(g(x))
+        elif 0 <= x.numerator <= x.denominator:
+            j, d = x.numerator, x.denominator
+            after, before = _fold(k, _fold(2, j, d), d), _fold(2, _fold(k, j, d), d)
+            if after != before:
+                after, before = Fraction(after, d), Fraction(before, d)
+        else:
+            raise ValueError(f"x must lie in [0, 1], got {x}")
         if after != before:
             witnesses.append((x, after, before))
     return CommutationReport(ok=not witnesses, witnesses=tuple(witnesses))

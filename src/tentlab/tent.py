@@ -35,6 +35,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from itertools import repeat
+from math import gcd
 from operator import lt
 from typing import Sequence
 
@@ -44,7 +46,6 @@ from .rationals import (
     ONE,
     UNIT,
     BinaryExpansion,
-    format_rational,
 )
 
 PREIMAGE_KINDS = ("A", "B", "F")
@@ -162,10 +163,13 @@ class PreimageSet:
         return tuple(Fraction(j, self.den) for j in self.numerators)
 
     def to_json_dict(self) -> dict:
+        # j / den reduced by its gcd, as format_rational writes Fraction(j, den)
+        nums, den = self.numerators, self.den
+        gcds = map(gcd, nums, repeat(den))
         return {
             "n": self.n,
             "kind": self.kind,
-            "points": [format_rational(p) for p in self.points],
+            "points": [f"{j // g}/{den // g}" for j, g in zip(nums, gcds)],
         }
 
 

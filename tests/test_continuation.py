@@ -3,6 +3,7 @@ from functools import lru_cache
 
 import pytest
 
+from tentlab import continuation
 from tentlab.commutants import CommutingTable, brute_force_commuting, validate_commuting_table
 from tentlab.continuation import (
     ContinuationProblem,
@@ -81,6 +82,46 @@ class TestProblemValidation:
         assert prob.s == 1 and prob.p == 1
         prob = ContinuationProblem(1, F(1), F(1))
         assert prob.s == 0 and prob.p == 1
+
+
+class TestProblemErrors:
+    """Type and message of each rejection, as the Fraction comparisons gave them."""
+
+    @pytest.mark.parametrize(
+        "n, alpha, beta, message",
+        [
+            (0, F(1), F(0), "depth must be positive, got 0"),
+            (-2, F(1), F(0), "depth must be positive, got -2"),
+            (3, F(5, 4), F(0), "alpha and beta must lie in [0, 1]"),
+            (3, F(-1, 4), F(0), "alpha and beta must lie in [0, 1]"),
+            (3, F(1, 4), F(5, 4), "alpha and beta must lie in [0, 1]"),
+            (3, F(1, 4), F(-1, 4), "alpha and beta must lie in [0, 1]"),
+            (1, 1, 2, "alpha and beta must lie in [0, 1]"),
+            (1, F(0), F(0), "alpha must be an odd numerator over 2**0, got 0"),
+            (1, 0, 0, "alpha must be an odd numerator over 2**0, got 0"),
+            (3, F(1, 2), F(0), "alpha must be an odd numerator over 2**2, got 1/2"),
+            (3, F(1, 8), F(0), "alpha must be an odd numerator over 2**2, got 1/8"),
+            (3, F(1), F(0), "alpha must be an odd numerator over 2**2, got 1"),
+            (3, F(1, 4), F(1, 3), "beta must lie on the depth-3 grid, got 1/3"),
+            (3, F(1, 4), F(1, 8), "beta must lie on the depth-3 grid, got 1/8"),
+            (2, F(1, 2), TWO_THIRDS, "beta must lie on the depth-2 grid, got 2/3"),
+        ],
+    )
+    def test_message(self, n, alpha, beta, message):
+        with pytest.raises(ValueError) as err:
+            ContinuationProblem(n, alpha, beta)
+        assert type(err.value) is ValueError and str(err.value) == message
+
+    def test_restriction_missing_beta(self, monkeypatch):
+        # the k+1 restriction misses beta wherever the k restriction hits it
+        monkeypatch.setattr(
+            continuation, "sawtooth_restriction", lambda n, k: sawtooth_restriction(n, k + 1)
+        )
+        with pytest.raises(AssertionError) as err:
+            continuable_from_point(ContinuationProblem(3, F(3, 4), F(1, 4)))
+        assert str(err.value) == (
+            "solver produced k=3 but the restriction misses beta at alpha=3/4"
+        )
 
 
 class TestSolver:

@@ -1,3 +1,5 @@
+import importlib
+import random
 from fractions import Fraction
 
 import pytest
@@ -26,6 +28,8 @@ from conftest import random_unit_fraction
 
 HALF = Fraction(1, 2)
 THIRD = Fraction(1, 3)
+# the package re-exports the function sawtooth under the module's name
+sawtooth_module = importlib.import_module("tentlab.sawtooth")
 
 
 def reference_eval(k, x):
@@ -210,6 +214,53 @@ class TestCommutation:
         report = verify_commutation(lambda x: HALF, [Fraction(0)])
         assert not report.ok
         assert report.witnesses[0][0] == 0
+
+    @staticmethod
+    def generic(k):
+        # a plain callable: verify_commutation goes through tent and g
+        return lambda x: sawtooth_eval(k, x)
+
+    def test_int_path_matches_generic(self):
+        rng = random.Random(7)
+        for k in range(1, 65):
+            samples = [Fraction(0), Fraction(1), HALF]
+            samples += [random_unit_fraction(rng, 2000) for _ in range(40)]
+            got = verify_commutation(sawtooth(k), samples)
+            assert got == verify_commutation(self.generic(k), samples), k
+
+    def test_witnesses_match_generic(self, monkeypatch):
+        fold = sawtooth_module._fold
+
+        def broken(k, num, den):
+            # every g but the tent (k = 2) sends 1/3 to 0: not a solution
+            return 0 if k != 2 and 3 * num == den else fold(k, num, den)
+
+        monkeypatch.setattr(sawtooth_module, "_fold", broken)
+        samples = [Fraction(j, 12) for j in range(13)] + [Fraction(5, 18), Fraction(1, 3)]
+        for k in (1, 3, 4, 7):
+            got = verify_commutation(sawtooth(k), samples)
+            assert not got.ok and got == verify_commutation(self.generic(k), samples), k
+
+    @pytest.mark.parametrize("x", [Fraction(-1, 3), Fraction(4, 3), Fraction(-1), Fraction(2)])
+    def test_out_of_range_message(self, x):
+        for g in (sawtooth(5), self.generic(5)):
+            with pytest.raises(ValueError) as err:
+                verify_commutation(g, [HALF, x])
+            assert str(err.value) == f"x must lie in [0, 1], got {x}"
+
+    def test_non_fraction_samples_take_the_generic_path(self, monkeypatch):
+        seen = []
+
+        def counting(x):
+            seen.append(x)
+            return tent(x)
+
+        monkeypatch.setattr(sawtooth_module, "tent", counting)
+        samples = [0, Fraction(1, 3), 1, True]
+        got = verify_commutation(sawtooth(3), samples)
+        # tent(x), then tent(g(x)), for the three non-Fraction samples only
+        assert seen == [0, 0, 1, 1, True, 1]
+        assert got == verify_commutation(self.generic(3), samples)
 
     def test_grid_invariance(self):
         # sawtooths map the fixed-point preimage sets into themselves

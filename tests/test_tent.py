@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tentlab.limits import DepthLimitError
-from tentlab.rationals import ONE, rational_to_binary
+from tentlab.rationals import ONE, format_rational, rational_to_binary
 from tentlab.tent import (
     PreimageSet,
     address_to_point,
@@ -158,6 +158,14 @@ class TestAddresses:
 
 
 class TestPreimageSets:
+    def test_json_matches_fraction_formatting(self):
+        for n in range(1, 13):
+            for kind in ("A", "B", "F"):
+                for method in ("closed_form", "iterated"):
+                    ps = preimage_set(n, kind, method)
+                    expected = [format_rational(p) for p in ps.points]
+                    assert ps.to_json_dict() == {"n": n, "kind": kind, "points": expected}
+
     def test_examples(self):
         assert preimage_set(2, "A").points == (0, Fraction(1, 2), 1)
         assert preimage_set(1, "B").points == (THIRD, TWO_THIRDS)
