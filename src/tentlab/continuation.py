@@ -7,8 +7,8 @@ newest-level grid point alpha = (2s+1)/2**(n-1) to beta = p/2**(n-1) is a
 congruence on k: the matching k form the residue classes +/-k0 mod 2**n,
 where k0 is p times the modular inverse of the odd unit 2s+1.  That solver
 makes pointwise continuation constructive, and restriction only depends on
-the class of k mod 2**n up to sign, so enumerating k = 1..2**n plus the
-constants exhausts all restrictions.
+the class of k mod 2**n up to sign, so one k per class, k = 1..2**(n-1) and
+2**n, plus the constants exhausts all restrictions.
 
 The claimed count of continuable tables (2**(n-1)) is audited against the
 enumeration, never assumed.
@@ -119,10 +119,13 @@ def _restriction_values(n: int, k: int) -> CommutingTable:
     return _lattice_table(n, _restriction_row(n, k))
 
 
-def _rows(n: int) -> tuple[set, set]:
-    """Distinct restriction rows of k = 1..2**n, and those with the two constants."""
+@lru_cache(maxsize=_ENUM_BOUND)
+def _rows(n: int) -> tuple[frozenset, frozenset]:
+    """Distinct restriction rows, built once per +/-k class mod 2**n (k =
+    1..2**(n-1) and 2**n), and those with the two constants; cached, so frozen."""
     size = len(grid_points(n))
-    sawtooths = {_restriction_row(n, k) for k in range(1, (1 << n) + 1)}
+    ks = (*range(1, (1 << (n - 1)) + 1), 1 << n)
+    sawtooths = frozenset(_restriction_row(n, k) for k in ks)
     return sawtooths, sawtooths | {(0,) * size, (1 << n,) * size}
 
 

@@ -14,7 +14,10 @@ when none exists down to the depth budget.  The probe and
 :func:`secant_slopes` read an evaluator one dyadic level at a time, as int
 ``(num, den)`` pairs at ``j / 2**L``, and compare them by cross-multiplication.
 On a sawtooth the value there is the int fold of ``k*j mod 2**(L+1)``; any
-other evaluator is called on ``Fraction(j, 2**L)``.  :func:`verify_commutation`
+other evaluator is called on ``Fraction(j, 2**L)``.  The defect scan keeps a
+sawtooth's level L as one flat row of those numerators over ``2**L``,
+unreduced, so a midpoint m between neighbours a and b of level L-1 is off
+their secant iff ``a + b != m``.  :func:`verify_commutation`
 reads a sawtooth through the same fold at a Fraction sample ``j / d``, over
 ``d``, where the tent is the 2-tooth fold.  ``Fraction``s appear only in
 returned values.  Everything is exact; no floats.
@@ -24,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 from typing import Callable, Iterable
 
 from .limits import check_depth
@@ -216,8 +220,24 @@ def _scan_for_defect(g: Evaluator, p: int, k: int, budget: int):
     <= budget); within a depth the smallest index wins.  Returns (depth,
     index) or None.  Levels are read one at a time so each grid point is
     evaluated once; the defect a + b != 2*mid is tested by
-    cross-multiplying the int pairs.
+    cross-multiplying the int pairs.  A sawtooth level is one flat row of
+    numerators over 2**level, so there the test is a + b != mid.
     """
+    if isinstance(g, _Sawtooth):
+        teeth, prev = g.k, [_fold(g.k, k, 1 << p), _fold(g.k, k + 1, 1 << p)]
+        for level in range(p + 1, budget + 1):
+            den, wrap, base = 1 << level, 2 << level, k << (level - p)
+            # the odd points j of this level, folded as t = teeth*j
+            ts = range(teeth * (base + 1), teeth * (base + (1 << (level - p))), 2 * teeth)
+            mids = [den - abs(t % wrap - den) for t in ts]
+            if level >= p + 2 and list(map(add, prev, prev[1:])) != mids:
+                i = next(i for i, s in enumerate(map(add, prev, prev[1:])) if s != mids[i])
+                return (level - 1, (k << (level - 1 - p)) + i)
+            cur = prev + mids
+            cur[0::2] = [a << 1 for a in prev]
+            cur[1::2] = mids
+            prev = cur
+        return None
     prev = _read(g, p, k, k + 2)
     for level in range(p + 1, budget + 1):
         base = k << (level - p)

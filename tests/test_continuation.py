@@ -4,7 +4,12 @@ from functools import lru_cache
 import pytest
 
 from tentlab import continuation
-from tentlab.commutants import CommutingTable, brute_force_commuting, validate_commuting_table
+from tentlab.commutants import (
+    CommutingTable,
+    _lattice_table,
+    brute_force_commuting,
+    validate_commuting_table,
+)
 from tentlab.continuation import (
     ContinuationProblem,
     ContinuationVerdict,
@@ -56,6 +61,13 @@ def reference_is_tent_continuable(t):
         if values == table.values:
             return ContinuationVerdict(continuable=True, witness_k=k)
     return ContinuationVerdict(continuable=False)
+
+
+def reference_rows(n):
+    """Restriction rows of every k = 1..2**n, and those with the two constants."""
+    size = (1 << (n - 1)) + 1
+    sawtooths = {_restriction_row(n, k) for k in range(1, (1 << n) + 1)}
+    return sawtooths, sawtooths | {(0,) * size, (1 << n,) * size}
 
 
 def all_problems(n):
@@ -391,6 +403,30 @@ class TestLatticeRows:
                 "claimed": 1 << (n - 1),
                 "matches_claim": distinct == 1 << (n - 1),
             }
+
+    def test_rows_of_one_k_per_class_match_every_k(self):
+        for n in range(1, 11):
+            sawtooths, rows = continuation._rows(n)
+            assert (sawtooths, rows) == reference_rows(n), n
+            assert type(sawtooths) is frozenset and type(rows) is frozenset
+            assert len(sawtooths) == 2 ** (n - 1) + 1
+            assert len(rows) == 2 ** (n - 1) + 2
+            assert continuation._rows(n) is continuation._rows(n)
+
+    def test_enumeration_and_audit_match_every_k(self):
+        for n in range(1, 11):
+            sawtooths, rows = reference_rows(n)
+            got = enumerate_continuable(n)
+            assert [t.values.row for t in got] == sorted(rows), n
+            assert got == [_lattice_table(n, row) for row in sorted(rows)], n
+            assert continuable_audit(n) == {
+                "n": n,
+                "distinct_restrictions": len(rows),
+                "sawtooth_restriction_count": len(sawtooths),
+                "with_constants": len(rows),
+                "claimed": 1 << (n - 1),
+                "matches_claim": len(rows) == 1 << (n - 1),
+            }, n
 
     @pytest.mark.parametrize("n", [0, -1])
     def test_depth_must_be_positive(self, n):

@@ -426,6 +426,30 @@ class TestIntReader:
                         want = probe_outcome(reference_linearity_probe, g, (p, i), budget)
                         assert got == want, (k, (p, i), budget)
 
+    def test_sawtooth_scan_matches_fraction_scan(self):
+        # every start of depth <= 5 and every budget, so scans that find a
+        # defect, at every index, are compared as well as those that do not.
+        # A budget-b scan is the budget-12 scan cut to candidate depths < b.
+        found = 0
+        for k in range(1, 65):
+            g = sawtooth(k)
+            for p in range(6):
+                for i in range(1 << p):
+                    deepest = _scan_for_defect(g, p, i, 12)
+                    for budget in range(p, 13):
+                        want = deepest if deepest and deepest[0] < budget else None
+                        got = sawtooth_module._scan_for_defect(g, p, i, budget)
+                        assert got == want, (k, (p, i), budget)
+                        found += got is not None
+        assert found > 0
+
+    def test_sawtooth_probe_matches_reference_to_depth_14(self):
+        for k in range(1, 33):
+            g = sawtooth(k)
+            for start in ((1, 0), (1, 1)):
+                got = probe_outcome(linearity_probe, g, start, 14)
+                assert got == probe_outcome(reference_linearity_probe, g, start, 14), (k, start)
+
     def test_sawtooth_reader_matches_generic_reader(self):
         for k in (3, 5, 6, 7):
             generic = lambda x, g=sawtooth(k): g(x)  # noqa: E731
