@@ -11,7 +11,10 @@ The product oracle's rows are computed once per process and shared: the
 encoding, fiber and count claims all read the same cached scan.  The residue
 and continuation claims compare ints: the k-tooth fold at alpha = i / 2**(n-1)
 with beta = p / 2**(n-1), and row slot i with 3p.  They still call ``solve_k0``
-and ``continuable_from_point`` for every (alpha, beta).
+and ``continuable_from_point`` for every (alpha, beta).  The bijection claim's
+fibers come from a level-by-level walk over the encodings that counts a
+conflicting level's whole subtree at once; only the round trip of each
+enumerated table goes through ``psi_from_pair``.
 """
 
 from __future__ import annotations

@@ -24,14 +24,15 @@ the inverse branches ``j -> j/2``, ``D - j/2``; the product filter applies the
 tent ``j -> 2j``, ``2D - 2j``.  Sorted rows are in ``CommutingTable.key``
 order, and a table built from a row reads it through a read-only view.  The
 word codec reads the same branches: a length-m word addresses a numerator
-over D, and decoding fills a row with one witness word per grid slot.
+over D, and decoding fills a row with one witness word per grid slot.  The
+fiber count fills rows the same way, one encoding level at a time, so a
+conflict at level m settles every encoding that shares that level's prefix.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Iterator, Mapping
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -279,11 +280,16 @@ def enumerate_psi_tilde(n: int, i0: int | None = None) -> Iterator[PsiTilde]:
     Per level, every nonzero word extends its parent's image by a free bit
     while the all-zero word is forced: 2 * prod_m 2**(2**m - 1) encodings.
     """
+    _check_encoding_depth(n)
+    bases = (0, 1) if i0 is None else (i0,)
+    return (pt for base in bases for pt in _extend_encoding({}, 1, n, base))
+
+
+def _check_encoding_depth(n: int) -> None:
+    """The depth guard of ``enumerate_psi_tilde``, shared by the fiber count."""
     if n < 1:
         raise ValueError(f"depth must be positive, got {n}")
     check_depth(n, _PAIR_ENUM_BOUND, "enumerate_psi_tilde")
-    bases = (0, 1) if i0 is None else (i0,)
-    return (pt for base in bases for pt in _extend_encoding({}, 1, n, base))
 
 
 def _extend_encoding(table: dict, m: int, n: int, i0: int) -> Iterator[PsiTilde]:
@@ -391,6 +397,9 @@ def brute_force_commuting(
     else:
         raise ValueError(f"method must be auto, product or chain, got {method!r}")
     if workers > 1:
+        # imported only here, so that no other command pays for loading the pool
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             chunks = list(pool.map(job, *zip(*jobs)))
     else:
@@ -464,15 +473,49 @@ def pair_fiber_stats(n: int) -> dict:
     Counts consistent/conflicting encodings, the tables they induce, and the
     fiber sizes over each table; a claimed one-to-one correspondence would
     need every fiber to be a singleton and no conflicts.
+
+    The encodings of ``enumerate_psi_tilde`` are walked level by level, not
+    decoded one by one: each level's choice of free bits writes its words'
+    values into a lattice row, as ``psi_from_pair`` would.  A level that
+    conflicts, within itself or with a lower level, counts its whole subtree
+    as conflicting, and a prefix consistent to depth n adds one to its row's
+    fiber.
     """
     oracle = brute_force_commuting(n)
+    _check_encoding_depth(n)
     fibers: Counter = Counter()
     conflicts = 0
-    for pt in enumerate_psi_tilde(n):
-        try:
-            fibers[psi_from_pair(pt).values.row] += 1
-        except AddressConflict:
-            conflicts += 1
+    # encodings below one level-m prefix: the free bits of levels m+1..n
+    subtree = {m: 1 << sum((1 << k) - 1 for k in range(m + 1, n + 1)) for m in range(1, n + 1)}
+    # the grid slot each level-m word addresses from 0, in product order
+    slots = {m: [x // 3 for x in _address_numerators(n, m, 0).values()] for m in range(1, n + 1)}
+
+    def walk(m: int, row: list, prior: list, i0: int, base: int) -> None:
+        nonlocal conflicts
+        if m > n:
+            fibers[tuple(row)] += 1
+            return
+        values = _address_numerators(n, m, base)
+        zero = (i0,) * m
+        # word w of level m is its parent w >> 1 plus one letter; prior holds
+        # the level-(m-1) images
+        parents = [prior[w >> 1] for w in range(1, 1 << m)]
+        for bits in product((0, 1), repeat=(1 << m) - 1):
+            images = [zero] + [parent + (bit,) for parent, bit in zip(parents, bits)]
+            level = row.copy()
+            for i, image in zip(slots[m], images):
+                y = values[image]
+                if level[i] is None:
+                    level[i] = y
+                elif level[i] != y:
+                    conflicts += subtree[m]
+                    break
+            else:
+                walk(m + 1, level, images, i0, base)
+
+    half = 1 << (n - 1)
+    for i0, base in ((0, 0), (1, 2 * half)):
+        walk(1, [None] * (half + 1), [()], i0, base)
     consistent = fibers.total()
     fiber_sizes = Counter(fibers.values())
     return {

@@ -18,10 +18,13 @@ the ordinates in explicit mode or taken from the binomial profile (slope
 ``(2v)**a (2(1-v))**(n-a)``, ``C(n, a)`` times) in aggregate mode, which stays
 meaningful at depths (n in the thousands) where no table could exist.  A
 piece's length ``2**-n * sqrt(1 + slope**2)`` leaves its factor ``2**-n`` to
-``_term`` as an exponent shift, so floating point enters only in the final
-guarded summation.  The aggregate slope measure skips the walk: the slope is
-monotone in ``a``, so it bisects for the threshold crossing and sums a
-binomial tail.
+``_term`` as an exponent shift.  Floating point enters per term, not only at
+the final sum: ``_term`` floors each piece count to 53 bits and rounds each
+term up to three times (the radicand's division, the square root, the
+product with the count), and graph length is the ``fsum`` of those doubles,
+so it need not be the double nearest the true length.  The aggregate slope
+measure skips the walk: the slope is monotone in ``a``, so it bisects for
+the threshold crossing and sums a binomial tail.
 
 Everything exact stays exact: tables, slope measures and gap statistics are
 Fractions; only graph length (an honest irrational) is returned as a float.
@@ -220,8 +223,10 @@ def graph_length(n: int, v: Fraction, mode: str = "aggregate") -> float:
     Each piece of width ``2**-n`` and slope s has length
     ``2**-n * sqrt(1 + s**2)``; explicit mode takes the slopes from the
     breakpoint table, aggregate mode from the binomial profile and reaches
-    depths no table could.  Radicands are exact; floats enter only at the
-    final fsum.
+    depths no table could.  Radicands are exact ints, but the result is the
+    ``fsum`` of per-term doubles: ``_term`` floors each count to 53 bits and
+    rounds each term up to three times (division, square root, product), so
+    the float can sit an ulp or two off the true length.
     """
     den, pieces = _pieces(n, v, mode, "graph_length")
     den2 = den * den

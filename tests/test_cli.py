@@ -298,3 +298,10 @@ def test_run_in_process(tmp_path, capsys):
     out = tmp_path / "doc.json"
     assert run(["preimages", "--n", "1", "--kind", "A", "--output", str(out)]) == 0
     assert json.loads(out.read_text())["points"] == ["0/1", "1/1"]
+
+
+def test_cli_import_leaves_the_process_pool_unloaded():
+    # only --workers > 1 needs the pool, so no other command should load it
+    code = "import sys, tentlab.cli; print('concurrent.futures.process' in sys.modules)"
+    cp = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert cp.stdout == "False\n"

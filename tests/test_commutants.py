@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 
@@ -517,6 +518,30 @@ class TestPairFromPsi:
             assert pt.i0 == (0 if t.x0 == ZERO else 1)
 
 
+def reference_pair_fiber_stats(n):
+    """Fiber counts by decoding every encoding with psi_from_pair, kept as the slow reference."""
+    oracle = brute_force_commuting(n)
+    fibers = Counter()
+    conflicts = 0
+    for pt in enumerate_psi_tilde(n):
+        try:
+            fibers[psi_from_pair(pt).values.row] += 1
+        except AddressConflict:
+            conflicts += 1
+    consistent = fibers.total()
+    fiber_sizes = Counter(fibers.values())
+    return {
+        "n": n,
+        "pairs_total": consistent + conflicts,
+        "pairs_consistent": consistent,
+        "pairs_conflicting": conflicts,
+        "distinct_tables_from_pairs": len(fibers),
+        "oracle_tables": len(oracle),
+        "bijective": conflicts == 0 and all(s == 1 for s in fibers.values()),
+        "fiber_sizes": {str(k): v for k, v in sorted(fiber_sizes.items())},
+    }
+
+
 class TestFibers:
     def test_depth_one_is_bijective(self):
         stats = pair_fiber_stats(1)
@@ -547,6 +572,22 @@ class TestFibers:
             "bijective": False,
             "fiber_sizes": {"1": 20, "16": 5},
         }
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_walk_matches_decoding_reference(self, n):
+        assert pair_fiber_stats(n) == reference_pair_fiber_stats(n)
+
+    @pytest.mark.parametrize("n", [0, 4])
+    def test_walk_rejects_depths_as_the_reference_does(self, n):
+        with pytest.raises(ValueError) as walked:
+            pair_fiber_stats(n)
+        with pytest.raises(ValueError) as decoded:
+            reference_pair_fiber_stats(n)
+        assert type(walked.value) is type(decoded.value)
+        assert str(walked.value) == str(decoded.value)
+        if n == 4:
+            assert isinstance(walked.value, DepthLimitError)
+            assert str(walked.value).startswith("enumerate_psi_tilde")
 
     @pytest.mark.parametrize("n", [0, -1])
     def test_encodings_need_a_positive_depth(self, n):

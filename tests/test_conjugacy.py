@@ -1,5 +1,6 @@
 import itertools
 import math
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
@@ -262,6 +263,30 @@ PINNED_LENGTHS = {
 @pytest.mark.parametrize("v, n, mode", PINNED_LENGTHS)
 def test_graph_length_float_bytes_pinned(v, n, mode):
     assert graph_length(n, v, mode).hex() == PINNED_LENGTHS[(v, n, mode)]
+
+
+def reference_graph_length(n, v):
+    """L_n as an 80-digit Decimal sum over the binomial classes."""
+    p, q = v.numerator, v.denominator
+    r = q - p
+    with localcontext() as ctx:
+        ctx.prec = 80
+        den = Decimal(q**n)
+        total = sum(
+            math.comb(n, a) * (1 + (Decimal((p**a * r ** (n - a)) << n) / den) ** 2).sqrt()
+            for a in range(n + 1)
+        )
+        return total / (1 << n)
+
+
+@pytest.mark.parametrize("v", [F(1, 4), F(1, 3), F(7, 10), F(99, 100)])
+def test_graph_length_within_two_ulps_of_decimal_sum(v):
+    # the fsum of per-term doubles is not the double nearest L_n; today's
+    # error stays within 2 ulps (the worst seen on a wider grid is ~1.4)
+    for n in (1, 8, 40, 200, 1200):
+        length = graph_length(n, v)
+        error = abs(Decimal(length) - reference_graph_length(n, v))
+        assert error <= 2 * Decimal(math.ulp(length)), (n, error / Decimal(math.ulp(length)))
 
 
 class TestDensity:
