@@ -9,9 +9,11 @@ exactly which counts survive enumeration.
 
 The product oracle's rows are computed once per process and shared: the
 encoding, fiber and count claims all read the same cached scan.  The residue
-and continuation claims compare ints: the k-tooth fold at alpha = i / 2**(n-1)
-with beta = p / 2**(n-1), and row slot i with 3p.  They still call ``solve_k0``
-and ``continuable_from_point`` for every (alpha, beta).  The bijection claim's
+claim groups the tooth counts k by their fold at alpha = i / 2**(n-1) once per
+alpha; for each beta = p / 2**(n-1) it compares the group of p, as a set, with
+the k in the classes ``solve_k0`` returns.  The continuation claim compares row
+slot i with 3p.  They still call ``solve_k0`` and ``continuable_from_point``
+for every (alpha, beta).  The bijection claim's
 fibers come from a level-by-level walk over the encodings that counts a
 conflicting level's whole subtree at once; only the round trip of each
 enumerated table goes through ``psi_from_pair``.
@@ -177,16 +179,21 @@ def _count_claims(max_n: int, workers: int) -> list[dict]:
 def _residue_claims() -> list[dict]:
     failures = []
     for n in range(2, 7):
-        ks = range(1, (1 << (n + 2)) + 1)
+        top = 1 << (n + 2)
         for alpha in new_grid_points(n):
-            values = [_fold(k, alpha.numerator, alpha.denominator) for k in ks]
+            # the k = 1..top that send alpha to each fold value p
+            hits: dict[int, set[int]] = {}
+            for k in range(1, top + 1):
+                hits.setdefault(_fold(k, alpha.numerator, alpha.denominator), set()).add(k)
             for beta in grid_points(n):
                 prob = ContinuationProblem(n, alpha, beta)
-                sol, p = solve_k0(prob), prob.p
+                sol = solve_k0(prob)
+                matches = {
+                    k for c in sol.classes for k in range(c or sol.modulus, top + 1, sol.modulus)
+                }
                 failures += [
                     {"n": n, "alpha": format_rational(alpha), "k": k}
-                    for k, v in zip(ks, values)
-                    if (v == p) != (k % sol.modulus in sol.classes)
+                    for k in sorted(hits[prob.p] ^ matches)
                 ]
     return [
         _claim(

@@ -20,13 +20,15 @@ reported, never reconciled.
 Both oracles run on the lattice of ``tent``: at depth n the grid point
 ``i / 2**(n-1)`` is slot i and a value is ``j / D`` with ``D = 3 * 2**(n-1)``.
 They return rows, the numerators j in grid order: the chain oracle steps down
-the inverse branches ``j -> j/2``, ``D - j/2``; the product filter applies the
-tent ``j -> 2j``, ``2D - 2j``.  Sorted rows are in ``CommutingTable.key``
-order, and a table built from a row reads it through a read-only view.  The
-word codec reads the same branches: a length-m word addresses a numerator
-over D, and decoding fills a row with one witness word per grid slot.  The
-fiber count fills rows the same way, one encoding level at a time, so a
-conflict at level m settles every encoding that shares that level's prefix.
+the inverse branches ``j -> j/2``, ``D - j/2``; the product filter builds every
+candidate row at once and applies the tent ``j -> 2j``, ``2D - 2j`` one slot
+check at a time, each check a single pass over the rows still standing.
+Sorted rows are in ``CommutingTable.key`` order, and a table built from a row
+reads it through a read-only view.  The word codec reads the same branches: a
+length-m word addresses a numerator over D, and decoding fills a row with one
+witness word per grid slot.  The fiber count fills rows the same way, one
+encoding level at a time, so a conflict at level m settles every encoding that
+shares that level's prefix.
 """
 
 from __future__ import annotations
@@ -36,7 +38,8 @@ from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
+from itertools import compress, product
+from operator import eq, itemgetter
 
 from .limits import check_depth
 from .rationals import TWO_THIRDS, ZERO, format_rational, parse_rational
@@ -339,27 +342,46 @@ def _chain_job(n: int, x0: Fraction, first: Fraction) -> list[tuple[int, ...]]:
 def _product_job(n: int, x0: Fraction, first: Fraction) -> list[tuple[int, ...]]:
     """Filter the full product space (value at 1 pinned) by the commutation check.
 
-    Candidates are lattice rows; every one is visited, and the check applies
-    the tent to numerators, slot i going to slot 2i or 2(half - i).
+    Candidates are lattice rows, built whole by ``itertools.product`` in grid
+    order; every one meets the first check.  Each check is one pass over the
+    rows that survive the ones before it: the tent on numerators, read from a
+    table, must send slot i's value to slot 2i's or 2(half - i)'s.
     """
     lattice = _lattice(n)
     den = len(lattice) - 1
     half = den // 3
-    tent_row = [2 * j if 2 * j <= den else 2 * (den - j) for j in range(den + 1)]
-    checks = [(i, 2 * i if 2 * i <= half else 2 * (half - i)) for i in range(half + 1)]
-    head, tail = (lattice.index(x0),), (lattice.index(first),)
-    results: list[tuple[int, ...]] = []
-    for combo in product(range(den + 1), repeat=half - 1):
-        row = head + combo + tail
-        if all(tent_row[row[a]] == row[b] for a, b in checks):
-            results.append(row)
-    return results
+    tent_at = [2 * j if 2 * j <= den else 2 * (den - j) for j in range(den + 1)].__getitem__
+    free = [range(den + 1)] * (half - 1)
+    rows = list(product((lattice.index(x0),), *free, (lattice.index(first),)))
+    for a in range(half + 1):
+        b = 2 * a if 2 * a <= half else 2 * (half - a)
+        images = map(tent_at, map(itemgetter(a), rows))
+        rows = list(compress(rows, map(eq, images, map(itemgetter(b), rows))))
+    return rows
 
 
 @lru_cache(maxsize=64)
 def _product_rows(n: int, x0: Fraction, first: Fraction) -> tuple[tuple[int, ...], ...]:
     """The product filter's rows, scanned once per process (n <= 3: 48 entries)."""
     return tuple(_product_job(n, x0, first))
+
+
+def _check_oracle(n: int, x0: Fraction | None, method: str) -> str:
+    """The argument checks and depth guard of ``brute_force_commuting``;
+    returns the method that "auto" picks."""
+    if n < 1:
+        raise ValueError(f"depth must be positive, got {n}")
+    if x0 is not None and x0 not in (ZERO, TWO_THIRDS):
+        raise ValueError(f"x0 must be a fixed point of the tent, 0 or 2/3, got {x0}")
+    if method == "auto":
+        method = "product" if n <= _PRODUCT_BOUND else "chain"
+    if method == "product":
+        check_depth(n, _PRODUCT_BOUND, "brute_force_commuting[product]")
+    elif method == "chain":
+        check_depth(n, _CHAIN_BOUND, "brute_force_commuting[chain]")
+    else:
+        raise ValueError(f"method must be auto, product or chain, got {method!r}")
+    return method
 
 
 def brute_force_commuting(
@@ -377,25 +399,16 @@ def brute_force_commuting(
     order as ``CommutingTable.key``.  ``workers > 1`` runs the jobs (one per
     base value and value at 1) in a process pool that returns rows.
     """
-    if n < 1:
-        raise ValueError(f"depth must be positive, got {n}")
-    if x0 is not None and x0 not in (ZERO, TWO_THIRDS):
-        raise ValueError(f"x0 must be a fixed point of the tent, 0 or 2/3, got {x0}")
-    if method == "auto":
-        method = "product" if n <= _PRODUCT_BOUND else "chain"
+    method = _check_oracle(n, x0, method)
     bases = (ZERO, TWO_THIRDS) if x0 is None else (x0,)
     if method == "product":
-        check_depth(n, _PRODUCT_BOUND, "brute_force_commuting[product]")
         # the dumb oracle scans every candidate value at the point 1
         job = _product_rows
         jobs = [(n, base, first) for base in bases for first in _lattice(n)]
-    elif method == "chain":
-        check_depth(n, _CHAIN_BOUND, "brute_force_commuting[chain]")
+    else:
         # the tent sends 1 to 0, so the value at 1 is a preimage of the base
         job = _chain_job
         jobs = [(n, base, inverse_branch(b, base)) for base in bases for b in (0, 1)]
-    else:
-        raise ValueError(f"method must be auto, product or chain, got {method!r}")
     if workers > 1:
         # imported only here, so that no other command pays for loading the pool
         from concurrent.futures import ProcessPoolExecutor
@@ -481,8 +494,11 @@ def pair_fiber_stats(n: int) -> dict:
     as conflicting, and a prefix consistent to depth n adds one to its row's
     fiber.
     """
-    oracle = brute_force_commuting(n)
+    # both guards before the oracle, which at n = 5 runs long before the
+    # encoding guard would refuse
+    _check_oracle(n, None, "auto")
     _check_encoding_depth(n)
+    oracle = brute_force_commuting(n)
     fibers: Counter = Counter()
     conflicts = 0
     # encodings below one level-m prefix: the free bits of levels m+1..n

@@ -39,7 +39,11 @@ _ENUM_BOUND = 10
 
 @dataclass(frozen=True)
 class ContinuationProblem:
-    """Ask for a continuable table sending alpha (newest level) to beta."""
+    """Ask for a continuable table sending alpha (newest level) to beta.
+
+    Construction also sets two ints that are not fields: ``s`` with
+    alpha = (2s+1) / 2**(n-1), and ``p`` with beta = p / 2**(n-1).
+    """
 
     n: int
     alpha: Fraction
@@ -59,16 +63,9 @@ class ContinuationProblem:
             )
         if scale % bd != 0:
             raise ValueError(f"beta must lie on the depth-{self.n} grid, got {self.beta}")
-
-    @property
-    def s(self) -> int:
-        """alpha = (2s+1) / 2**(n-1)."""
-        return (self.alpha.numerator - 1) // 2
-
-    @property
-    def p(self) -> int:
-        """beta = p / 2**(n-1)."""
-        return self.beta.numerator * ((1 << (self.n - 1)) // self.beta.denominator)
+        # read several times per problem; a cached_property would cost more
+        object.__setattr__(self, "s", (a - 1) // 2)
+        object.__setattr__(self, "p", b * (scale // bd))
 
 
 @dataclass(frozen=True)

@@ -143,6 +143,27 @@ class TestResidues:
         assert [f["alpha"] for f in failures][0] == "1/4"
         assert {f["n"] for f in failures} == {3, 5}
 
+    def test_dropped_class_fails_alike(self, monkeypatch):
+        faulty = {(2, F(1, 2), F(1, 2)), (4, F(5, 8), F(3, 8)), (6, F(7, 32), F(9, 32))}
+        solve = continuation.solve_k0
+
+        def dropped(prob):
+            sol = solve(prob)
+            if (prob.n, prob.alpha, prob.beta) not in faulty:
+                return sol
+            return ContinuationSolution(sol.k0, sol.modulus, frozenset({sol.k0}))
+
+        monkeypatch.setattr(audit, "solve_k0", dropped)
+        got = audit._residue_claims()
+        assert got == reference_residue_claims()
+        failures = got[0]["computed"]["failures"]
+        assert got[0]["verdict"] == audit.REFUTED
+        # the -k0 class alone goes missing: 4 tooth counts per faulty problem
+        assert len(failures) == 12
+        assert {f["n"] for f in failures} == {2, 4, 6}
+        deepest = [f["k"] for f in failures if f["n"] == 6]
+        assert deepest == sorted(deepest) and len({k % 64 for k in deepest}) == 1
+
 
 class TestContinuation:
     def test_matches_reference(self):

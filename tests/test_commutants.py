@@ -4,6 +4,7 @@ from itertools import product
 
 import pytest
 
+from tentlab import commutants
 from tentlab.commutants import (
     AddressConflict,
     CommutingTable,
@@ -54,6 +55,22 @@ def reference_product_job(n, x0, first):
         values[Fraction(1)] = first
         if all(tent_of_value[values[x]] == values[tent_of_point[x]] for x in points):
             results.append(values)
+    return results
+
+
+def reference_int_product_job(n, x0, first):
+    """The product filter as a per-candidate loop on lattice rows, kept as the int reference."""
+    lattice = preimage_set(n, "F").points
+    den = len(lattice) - 1
+    half = den // 3
+    tent_row = [2 * j if 2 * j <= den else 2 * (den - j) for j in range(den + 1)]
+    checks = [(i, 2 * i if 2 * i <= half else 2 * (half - i)) for i in range(half + 1)]
+    head, tail = (lattice.index(x0),), (lattice.index(first),)
+    results = []
+    for combo in product(range(den + 1), repeat=half - 1):
+        row = head + combo + tail
+        if all(tent_row[row[a]] == row[b] for a, b in checks):
+            results.append(row)
     return results
 
 
@@ -224,6 +241,13 @@ class TestProductFilter:
         for base in (ZERO, TWO_THIRDS):
             for first in (F(0), F(1, 3), F(1, 2), F(1), F(2, 3), F(5, 6)):
                 self.assert_same(3, base, first)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_matches_int_reference_for_every_first_value(self, n):
+        for base in (ZERO, TWO_THIRDS):
+            for first in preimage_set(n, "F").points:
+                expected = reference_int_product_job(n, base, first)
+                assert _product_job(n, base, first) == expected, (n, base, first)
 
 
 def test_product_rows_are_cached_job_rows():
@@ -588,6 +612,36 @@ class TestFibers:
         if n == 4:
             assert isinstance(walked.value, DepthLimitError)
             assert str(walked.value).startswith("enumerate_psi_tilde")
+
+    @pytest.mark.parametrize(
+        "n, override, kind, message",
+        [
+            (0, None, ValueError, "depth must be positive, got 0"),
+            (4, None, DepthLimitError, "enumerate_psi_tilde: depth 4 exceeds bound 3"),
+            (5, None, DepthLimitError, "enumerate_psi_tilde: depth 5 exceeds bound 3"),
+            (6, None, DepthLimitError, "brute_force_commuting[chain]: depth 6 exceeds bound 5"),
+            (3, "2", DepthLimitError, "brute_force_commuting[product]: depth 3 exceeds bound 2"),
+        ],
+        ids=["n0", "n4", "n5", "n6", "n3-bound2"],
+    )
+    def test_guard_errors(self, n, override, kind, message, monkeypatch):
+        if override is not None:
+            monkeypatch.setenv("TENTLAB_MAX_DEPTH", override)
+        if kind is DepthLimitError:
+            message += " (set TENTLAB_MAX_DEPTH to override)"
+        with pytest.raises(ValueError) as caught:
+            pair_fiber_stats(n)
+        assert type(caught.value) is kind
+        assert str(caught.value) == message
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_guards_refuse_before_the_oracle_runs(self, n, monkeypatch):
+        def no_oracle(*args):
+            raise AssertionError("the chain oracle ran")
+
+        monkeypatch.setattr(commutants, "_chain_job", no_oracle)
+        with pytest.raises(DepthLimitError, match="enumerate_psi_tilde"):
+            pair_fiber_stats(n)
 
     @pytest.mark.parametrize("n", [0, -1])
     def test_encodings_need_a_positive_depth(self, n):

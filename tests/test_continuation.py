@@ -1,3 +1,4 @@
+from dataclasses import FrozenInstanceError, asdict
 from fractions import Fraction
 from functools import lru_cache
 
@@ -94,6 +95,18 @@ class TestProblemValidation:
         assert prob.s == 1 and prob.p == 1
         prob = ContinuationProblem(1, F(1), F(1))
         assert prob.s == 0 and prob.p == 1
+
+    def test_derived_parameters_are_not_fields(self):
+        read = ContinuationProblem(3, F(3, 4), F(1, 4))
+        assert (read.s, read.p) == (1, 1)
+        fresh = ContinuationProblem(3, F(3, 4), F(1, 4))
+        assert read == fresh and hash(read) == hash(fresh)
+        assert repr(read) == repr(fresh) == (
+            "ContinuationProblem(n=3, alpha=Fraction(3, 4), beta=Fraction(1, 4))"
+        )
+        assert asdict(read) == asdict(fresh) == {"n": 3, "alpha": F(3, 4), "beta": F(1, 4)}
+        with pytest.raises(FrozenInstanceError):
+            read.n = 4
 
 
 class TestProblemErrors:
