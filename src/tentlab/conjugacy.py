@@ -22,7 +22,11 @@ piece's length ``2**-n * sqrt(1 + slope**2)`` leaves its factor ``2**-n`` to
 the final sum: ``_term`` floors each piece count to 53 bits and rounds each
 term up to three times (the radicand's division, the square root, the
 product with the count), and graph length is the ``fsum`` of those doubles,
-so it need not be the double nearest the true length.  The aggregate slope
+so it need not be the double nearest the true length.  The explicit stream
+has ``2**n`` pieces but at most ``n + 1`` distinct slopes, so explicit graph
+length computes one double per distinct ``(count, slope_num)`` pair and hands
+it to ``fsum`` once per piece: the same doubles as a per-piece walk, and
+``fsum`` rounds their exact sum once, whatever their order.  The aggregate slope
 measure skips the walk: the slope is monotone in ``a``, so it bisects for
 the threshold crossing and sums a binomial tail.
 
@@ -33,8 +37,10 @@ Fractions; only graph length (an honest irrational) is returned as a float.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, repeat
 from typing import Sequence
 
 from .limits import check_depth
@@ -226,10 +232,20 @@ def graph_length(n: int, v: Fraction, mode: str = "aggregate") -> float:
     depths no table could.  Radicands are exact ints, but the result is the
     ``fsum`` of per-term doubles: ``_term`` floors each count to 53 bits and
     rounds each term up to three times (division, square root, product), so
-    the float can sit an ulp or two off the true length.
+    the float can sit an ulp or two off the true length.  Explicit mode
+    computes one double per distinct slope and sums it once per piece; the
+    result is still the ``fsum`` of per-piece doubles.  Multiplying a class's
+    double by its piece count instead would round differently.
     """
     den, pieces = _pieces(n, v, mode, "graph_length")
     den2 = den * den
+    if mode == "explicit":
+        return math.fsum(
+            chain.from_iterable(
+                repeat(_term(count, den2 + s * s, den2, -n), times)
+                for (count, s), times in Counter(pieces).items()
+            )
+        )
     return math.fsum(_term(count, den2 + s * s, den2, -n) for count, s in pieces)
 
 

@@ -42,6 +42,11 @@ class TestGolden:
         assert cp.returncode == 0
         assert cp.stdout == (GOLDEN / "conjugacy_length_v14_n8.json").read_text()
 
+    def test_conjugacy_length_explicit(self):
+        cp = tentlab("conjugacy", "length", "--v", "1/3", "--n", "16", "--mode", "explicit")
+        assert cp.returncode == 0
+        assert cp.stdout == (GOLDEN / "conjugacy_length_v13_n16_explicit.json").read_text()
+
     @pytest.mark.parametrize(
         "golden, argv",
         [

@@ -5,8 +5,10 @@ from fractions import Fraction
 
 import pytest
 
+from tentlab import conjugacy
 from tentlab.conjugacy import (
     _pieces,
+    _term,
     conjugacy_value,
     conjugate_point,
     density_probe,
@@ -263,6 +265,32 @@ PINNED_LENGTHS = {
 @pytest.mark.parametrize("v, n, mode", PINNED_LENGTHS)
 def test_graph_length_float_bytes_pinned(v, n, mode):
     assert graph_length(n, v, mode).hex() == PINNED_LENGTHS[(v, n, mode)]
+
+
+def reference_explicit_graph_length(n, v):
+    """Explicit graph length as one ``_term`` per dyadic piece, the walk that
+    the per-slope-class sum must reproduce bit for bit."""
+    den, pieces = _pieces(n, v, "explicit", "graph_length")
+    den2 = den * den
+    return math.fsum(_term(count, den2 + s * s, den2, -n) for count, s in pieces)
+
+
+@pytest.mark.parametrize(
+    "v, depths",
+    [(v, range(17)) for v in VS + (F(1, 1000), F(5, 7), F(2, 5))] + [(F(1, 3), [18])],
+)
+def test_explicit_graph_length_matches_per_piece_sum(v, depths):
+    for n in depths:
+        assert graph_length(n, v, "explicit").hex() == reference_explicit_graph_length(n, v).hex(), n
+
+
+def test_explicit_graph_length_honours_piece_counts(monkeypatch):
+    # every explicit piece has count 1 today; classes are keyed by the whole
+    # (count, slope_num) pair, so a stream with other counts still sums per pair
+    pairs = [(1, 5), (3, 5), (1, 5), (2, 7)]
+    monkeypatch.setattr(conjugacy, "_pieces", lambda *args: (4, iter(pairs)))
+    expected = math.fsum(_term(count, 16 + s * s, 16, -2) for count, s in pairs)
+    assert graph_length(2, F(1, 4), "explicit").hex() == expected.hex()
 
 
 def reference_graph_length(n, v):
