@@ -17,12 +17,12 @@ audited against; the closed-form count, its recursion, and the per-level
 extension count are all computed side by side and their disagreements are
 reported, never reconciled.
 
-Both oracles run on the lattice of ``tent``: at depth n the grid point
-``i / 2**(n-1)`` is slot i and a value is ``j / D`` with ``D = 3 * 2**(n-1)``.
-They return rows, the numerators j in grid order: the chain oracle steps down
-the inverse branches ``j -> j/2``, ``D - j/2``; the product filter builds every
-candidate row at once and applies the tent ``j -> 2j``, ``2D - 2j`` one slot
-check at a time, each check a single pass over the rows still standing.
+Both oracles run on the lattice of ``tent``: grid point ``i / 2**(n-1)`` is
+slot i and a value is a numerator over ``D = 3 * 2**(n-1)``.  They return
+rows, the numerators in grid order: the chain oracle steps down the inverse
+branches; the product filter builds every candidate row at once and applies
+the tent (the 2-tooth fold of ``tent``) one slot check at a time, each check
+a single pass over the rows still standing.
 Sorted rows are in ``CommutingTable.key`` order, and a table built from a row
 reads it through a read-only view.  The word codec reads the same branches: a
 length-m word addresses a numerator over D, and decoding fills a row with one
@@ -44,6 +44,8 @@ from operator import eq, itemgetter
 from .limits import check_depth
 from .rationals import TWO_THIRDS, ZERO, format_rational, parse_rational
 from .tent import (
+    _fold,
+    _fold_row,
     grid_points,
     inverse_branch,
     preimage_set,
@@ -317,7 +319,7 @@ def _chain_job(n: int, x0: Fraction, first: Fraction) -> list[tuple[int, ...]]:
     half = den // 3
     # the point 1, then each level's new points: odd multiples of 1/2**(m-1)
     slots = [k for m in range(2, n + 1) for k in range(half >> (m - 1), half, half >> (m - 2))]
-    parents = [2 * k if 2 * k <= half else 2 * (half - k) for k in slots]
+    parents = [_fold(2, k, half) for k in slots]
     row = [lattice.index(x0), *[0] * (half - 1), lattice.index(first)]
     results: list[tuple[int, ...]] = []
     last = len(slots)
@@ -350,11 +352,11 @@ def _product_job(n: int, x0: Fraction, first: Fraction) -> list[tuple[int, ...]]
     lattice = _lattice(n)
     den = len(lattice) - 1
     half = den // 3
-    tent_at = [2 * j if 2 * j <= den else 2 * (den - j) for j in range(den + 1)].__getitem__
+    tent_at = _fold_row(2, den, 0, den + 1).__getitem__
     free = [range(den + 1)] * (half - 1)
     rows = list(product((lattice.index(x0),), *free, (lattice.index(first),)))
     for a in range(half + 1):
-        b = 2 * a if 2 * a <= half else 2 * (half - a)
+        b = _fold(2, a, half)
         images = map(tent_at, map(itemgetter(a), rows))
         rows = list(compress(rows, map(eq, images, map(itemgetter(b), rows))))
     return rows

@@ -41,6 +41,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, repeat
+from operator import sub
 from typing import Sequence
 
 from .limits import check_depth
@@ -309,25 +310,16 @@ def density_probe(v: Fraction, depth: int) -> DensityReport:
     """Union of the skew tent's preimages of 1 down to the given depth.
 
     The largest gap (endpoints included) shrinking with depth is the
-    desk-scale trace of the density of that union.  Level i is kept as
-    numerators over ``q**i`` and lifted to ``q**depth`` for the union.
+    desk-scale trace of the density of that union.  The conjugacy sends the
+    tent's preimages of 1 down to that depth, the dyadics ``k / 2**depth``
+    with ``k >= 1``, increasingly onto the union, so its points are the
+    ordinates of the iterate at that depth, 0 left out, and its gaps are
+    their differences.
     """
     _check_vertex(v)
     if depth < 0:
         raise ValueError(f"depth must be nonnegative, got {depth}")
     check_depth(depth, _DENSITY_BOUND, "density_probe")
-    p, q = v.numerator, v.denominator
-    r = q - p
-    top = q**depth
-    level, den = {1}, 1
-    seen = {top}
-    for _ in range(depth):
-        den *= q
-        level = {p * y for y in level} | {den - r * y for y in level}
-        lift = top // den
-        seen.update(y * lift for y in level)
-    pts = sorted(seen)
-    gaps = [pts[0]] + [b - a for a, b in zip(pts, pts[1:])] + [top - pts[-1]]
-    return DensityReport(
-        v=v, depth=depth, points=len(pts), max_gap=Fraction(max(gaps), top)
-    )
+    ys, den = _ordinates(depth, v)
+    max_gap = Fraction(max(map(sub, ys[1:], ys)), den)
+    return DensityReport(v=v, depth=depth, points=len(ys) - 1, max_gap=max_gap)

@@ -13,10 +13,9 @@ the class of k mod 2**n up to sign, so one k per class, k = 1..2**(n-1) and
 The claimed count of continuable tables (2**(n-1)) is audited against the
 enumeration, never assumed.
 
-On the lattice of ``tent`` (numerators over ``3 * 2**(n-1)``) the k-tooth
-restriction is the row ``3 * tri(k*i mod 2**n)`` over the grid index i, with
-``tri(t) = min(t, 2**n - t)``.  Tables wrap such rows through the lattice
-constructor of ``commutants``, so their ``values`` are read-only views.
+On the lattice of ``tent`` the k-tooth restriction is a row of the fold of
+``tent``, read at the grid's numerators.  Tables wrap such rows through the
+lattice constructor of ``commutants``, so their ``values`` are read-only views.
 Problems are validated on ints, and a point is checked by slot: alpha =
 i/2**(n-1) is slot i, where beta = p/2**(n-1) is 3p.  The decision reads one
 value, at alpha = 1/2**(n-1), which fixes the restriction.
@@ -31,8 +30,7 @@ from functools import lru_cache
 from .commutants import CommutingTable, _lattice_table
 from .limits import check_depth
 from .rationals import TWO_THIRDS, ZERO
-from .sawtooth import _fold
-from .tent import grid_points
+from .tent import _fold, _fold_row, grid_points
 
 _ENUM_BOUND = 10
 
@@ -101,13 +99,10 @@ def sawtooth_matches(prob: ContinuationProblem, k: int) -> bool:
 def _restriction_row(n: int, k: int) -> tuple[int, ...]:
     """The k-tooth sawtooth on the depth-n grid, as numerators over 3 * 2**(n-1).
 
-    At the grid index i the value is tri(k*i mod 2**n) / 2**(n-1): the fold
-    ``sawtooth._fold``, inlined because a call per element slows enumeration.
+    The grid point i / 2**(n-1) is the numerator 3i over that denominator.
     """
-    modulus = 1 << n
-    half = modulus >> 1
-    steps = (k * i % modulus for i in range(half + 1))
-    return tuple(3 * (t if t <= half else modulus - t) for t in steps)
+    den = 3 << (n - 1)
+    return tuple(_fold_row(k, den, 0, den + 1, 3))
 
 
 @lru_cache(maxsize=4096)

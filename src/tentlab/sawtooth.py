@@ -13,14 +13,13 @@ dyadic sub-intervals for a defect, certifying linearity on the sampled grid
 when none exists down to the depth budget.  The probe and
 :func:`secant_slopes` read an evaluator one dyadic level at a time, as int
 ``(num, den)`` pairs at ``j / 2**L``, and compare them by cross-multiplication.
-On a sawtooth the value there is the int fold of ``k*j mod 2**(L+1)``; any
-other evaluator is called on ``Fraction(j, 2**L)``.  The defect scan keeps a
-sawtooth's level L as one flat row of those numerators over ``2**L``,
-unreduced, so a midpoint m between neighbours a and b of level L-1 is off
-their secant iff ``a + b != m``.  :func:`verify_commutation`
-reads a sawtooth through the same fold at a Fraction sample ``j / d``, over
-``d``, where the tent is the 2-tooth fold.  ``Fraction``s appear only in
-returned values.  Everything is exact; no floats.
+A sawtooth is read through the fold of ``tent`` over ``2**L``; any other
+evaluator is called on ``Fraction(j, 2**L)``.  The defect scan keeps a
+sawtooth's level L as one flat row of those numerators, unreduced, so a
+midpoint m between neighbours a and b of level L-1 is off their secant iff
+``a + b != m``.  :func:`verify_commutation` reads a sawtooth and the tent
+(the 2-tooth fold) through the same fold at a Fraction sample ``j / d``.
+``Fraction``s appear only in returned values.  Everything is exact; no floats.
 """
 
 from __future__ import annotations
@@ -33,7 +32,7 @@ from typing import Callable, Iterable
 from .limits import check_depth
 from .piecewise import PiecewiseLinearMap
 from .rationals import TWO_THIRDS, UNIT, ZERO, format_rational
-from .tent import tent
+from .tent import _fold, _fold_row, tent
 
 Evaluator = Callable[[Fraction], Fraction]
 
@@ -43,13 +42,6 @@ SAWTOOTH = "sawtooth"
 NOT_A_SOLUTION = "not_a_solution"
 
 _SECANT_DEPTH_BOUND = 20
-
-
-def _fold(k: int, num: int, den: int) -> int:
-    """Numerator over den of the k-tooth sawtooth at num/den: the triangle
-    wave folds r = k*num mod 2*den back to 2*den - r above den."""
-    r = k * num % (den << 1)
-    return r if r <= den else (den << 1) - r
 
 
 def sawtooth_eval(k: int, x: Fraction) -> Fraction:
@@ -197,9 +189,9 @@ def _read(g: Evaluator, level: int, lo: int, hi: int, step: int = 1) -> list:
     other evaluator is called on the reduced Fraction.
     """
     den = 1 << level
-    js = range(lo, hi, step)
     if isinstance(g, _Sawtooth):
-        return [(_fold(g.k, j, den), den) for j in js]
+        return [(y, den) for y in _fold_row(g.k, den, lo, hi, step)]
+    js = range(lo, hi, step)
     return [(v.numerator, v.denominator) for v in [g(Fraction(j, den)) for j in js]]
 
 
@@ -224,12 +216,11 @@ def _scan_for_defect(g: Evaluator, p: int, k: int, budget: int):
     numerators over 2**level, so there the test is a + b != mid.
     """
     if isinstance(g, _Sawtooth):
-        teeth, prev = g.k, [_fold(g.k, k, 1 << p), _fold(g.k, k + 1, 1 << p)]
+        prev = _fold_row(g.k, 1 << p, k, k + 2)
         for level in range(p + 1, budget + 1):
-            den, wrap, base = 1 << level, 2 << level, k << (level - p)
-            # the odd points j of this level, folded as t = teeth*j
-            ts = range(teeth * (base + 1), teeth * (base + (1 << (level - p))), 2 * teeth)
-            mids = [den - abs(t % wrap - den) for t in ts]
+            base = k << (level - p)
+            # the odd points of this level
+            mids = _fold_row(g.k, 1 << level, base + 1, base + (1 << (level - p)), 2)
             if level >= p + 2 and list(map(add, prev, prev[1:])) != mids:
                 i = next(i for i, s in enumerate(map(add, prev, prev[1:])) if s != mids[i])
                 return (level - 1, (k << (level - 1 - p)) + i)

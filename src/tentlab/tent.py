@@ -16,10 +16,12 @@ commuting table can take, is ``j / D`` with ``D = 3 * 2**(n-1)`` and
 ``0 <= j <= D``: kind ``A`` is ``j = 0 mod 3``, kind ``B`` is ``j = 1, 2 mod
 3`` and kind ``F`` is every ``j``, in increasing order, so index ``j`` of the
 kind-F points is ``j / D``.  On numerators the tent map is ``j -> 2j`` or
-``2D - 2j`` and its inverse branches are ``j -> j/2`` and ``D - j/2``.  The
-preimage generators work on these ints: a :class:`PreimageSet` stores ``D``
-and its increasing numerators, checks them as ints, and builds its
-``points`` as Fractions only on first access.  A commuting table is stored
+``2D - 2j``, the 2-tooth case of the sawtooth fold ``_fold`` (row form
+``_fold_row``) that every layer folding on ints calls, and its inverse
+branches are ``j -> j/2`` and ``D - j/2``.  The preimage generators work on
+these ints: a :class:`PreimageSet` stores ``D`` and its increasing
+numerators, checks them as ints, and builds its ``points`` as Fractions only
+on first access.  A commuting table is stored
 as its row of numerators in grid order, read through a view of the kind-F
 points.
 
@@ -44,7 +46,6 @@ from .limits import check_depth
 from .rationals import (
     HALF,
     ONE,
-    UNIT,
     BinaryExpansion,
 )
 
@@ -173,6 +174,20 @@ class PreimageSet:
         }
 
 
+def _fold(k: int, num: int, den: int) -> int:
+    """Numerator over den of the k-tooth sawtooth at num/den: the triangle
+    wave folds r = k*num mod 2*den back to 2*den - r above den."""
+    r = k * num % (den << 1)
+    return r if r <= den else (den << 1) - r
+
+
+def _fold_row(k: int, den: int, start: int, stop: int, step: int = 1) -> list[int]:
+    """``[_fold(k, j, den) for j in range(start, stop, step)]``, without a call
+    per element (k >= 1, step >= 1)."""
+    wrap = den << 1
+    return [den - abs(t % wrap - den) for t in range(k * start, k * stop, k * step)]
+
+
 def _closed_form_numerators(n: int, kind: str) -> tuple[int, ...]:
     # A is j = 0 mod 3, B is j = 1, 2 mod 3, F is every j
     den = 3 << (n - 1)
@@ -220,7 +235,4 @@ def grid_points(n: int) -> tuple[Fraction, ...]:
 @lru_cache(maxsize=64)
 def new_grid_points(n: int) -> tuple[Fraction, ...]:
     """Points of the depth-n grid that are not already at depth n-1."""
-    if n == 1:
-        return (UNIT,)
-    prev = set(grid_points(n - 1))
-    return tuple(p for p in grid_points(n) if p not in prev)
+    return grid_points(n)[1::2]

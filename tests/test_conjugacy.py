@@ -317,6 +317,24 @@ def test_graph_length_within_two_ulps_of_decimal_sum(v):
         assert error <= 2 * Decimal(math.ulp(length)), (n, error / Decimal(math.ulp(length)))
 
 
+def reference_density_probe(v, depth):
+    """(points, max_gap) from the union of the skew tent's preimages of 1, each
+    level walked as a set of numerators over q**i and lifted to q**depth."""
+    p, q = v.numerator, v.denominator
+    r = q - p
+    top = q**depth
+    level, den = {1}, 1
+    seen = {top}
+    for _ in range(depth):
+        den *= q
+        level = {p * y for y in level} | {den - r * y for y in level}
+        lift = top // den
+        seen.update(y * lift for y in level)
+    pts = sorted(seen)
+    gaps = [pts[0]] + [b - a for a, b in zip(pts, pts[1:])] + [top - pts[-1]]
+    return len(pts), F(max(gaps), top)
+
+
 class TestDensity:
     def test_dyadic_vertex(self):
         report = density_probe(F(1, 2), 3)
@@ -347,6 +365,13 @@ class TestDensity:
     def test_depth_guard(self):
         with pytest.raises(DepthLimitError):
             density_probe(F(1, 4), 17)
+
+    def test_matches_reference_walk(self):
+        for v in VS + (F(1, 2), F(99, 100), F(2, 3), F(1, 1000)):
+            for depth in range(17):
+                report = density_probe(v, depth)
+                expected = reference_density_probe(v, depth)
+                assert (report.points, report.max_gap) == expected, (v, depth)
 
     def test_matches_fraction_sets(self):
         for v in VS + (F(1, 2), F(99, 100), F(2, 3)):

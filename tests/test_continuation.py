@@ -26,8 +26,8 @@ from tentlab.continuation import (
 )
 from tentlab.limits import DepthLimitError
 from tentlab.rationals import TWO_THIRDS, ZERO
-from tentlab.sawtooth import _fold, sawtooth_eval
-from tentlab.tent import grid_points, new_grid_points
+from tentlab.sawtooth import sawtooth_eval
+from tentlab.tent import _fold, grid_points, new_grid_points
 
 F = Fraction
 
@@ -215,7 +215,8 @@ class TestRestrictions:
         assert sawtooth_restriction(3, 5).values == expected
 
     def test_rows_match_the_sawtooth_fold(self):
-        # the rows inline sawtooth._fold
+        # each row is the fold of tent over 3 * 2**(n-1), read at the grid's
+        # numerators; held here against the fold over 2**(n-1), times 3
         for n in range(1, 11):
             half = 1 << (n - 1)
             for k in range(1, (1 << n) + 3):

@@ -7,8 +7,11 @@ from hypothesis import strategies as st
 
 from tentlab.limits import DepthLimitError
 from tentlab.rationals import ONE, format_rational, rational_to_binary
+from tentlab.sawtooth import sawtooth_eval
 from tentlab.tent import (
     PreimageSet,
+    _fold,
+    _fold_row,
     address_to_point,
     grid_points,
     inverse_branch,
@@ -272,3 +275,24 @@ def test_new_grid_points():
     assert set(new_grid_points(3)) == {Fraction(1, 4), Fraction(3, 4)}
     for n in range(2, 10):
         assert len(new_grid_points(n)) == 2 ** (n - 2)
+    for n in range(2, 15):
+        # the points of grid n that grid n - 1 lacks, by set difference
+        prev = set(grid_points(n - 1))
+        assert new_grid_points(n) == tuple(p for p in grid_points(n) if p not in prev), n
+
+
+def test_fold_matches_sawtooth_and_tent():
+    for k in range(1, 20):
+        for den in range(1, 40):
+            for start, stop in ((0, den + 1), (1, den), (den // 3, den + 1), (den, den + 1)):
+                for step in (1, 2, 3):
+                    folds = [_fold(k, j, den) for j in range(start, stop, step)]
+                    row = _fold_row(k, den, start, stop, step)
+                    assert row == folds, (k, den, start, stop, step)
+            for j in range(den + 1):
+                assert Fraction(_fold(k, j, den), den) == sawtooth_eval(k, Fraction(j, den))
+    for n in range(1, 9):
+        den = 3 << (n - 1)
+        for j in range(den + 1):
+            # the tent on lattice numerators is the 2-tooth fold
+            assert _fold(2, j, den) == tent(Fraction(j, den)) * den, (n, j)
