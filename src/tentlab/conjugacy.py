@@ -46,16 +46,11 @@ from typing import Sequence
 
 from .limits import check_depth
 from .rationals import HALF, UNIT, ZERO
-from .tent import inverse_branch
+from .tent import _check_vertex, inverse_branch
 
 _EXPLICIT_BOUND = 24
 _AGGREGATE_BOUND = 10_000
 _DENSITY_BOUND = 16
-
-
-def _check_vertex(v: Fraction) -> None:
-    if not (0 < v < 1):
-        raise ValueError(f"vertex abscissa must lie in (0, 1), got {v}")
 
 
 def _check_index(n: int) -> None:

@@ -73,12 +73,17 @@ class PiecewiseLinearMap:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "PiecewiseLinearMap":
-        return cls(
-            tuple(
-                (parse_rational(x), parse_rational(y))
-                for x, y in doc["breakpoints"]
+        """Read ``{"breakpoints": [[x, y], ...]}`` with x and y rational strings."""
+        rows = doc.get("breakpoints") if isinstance(doc, dict) else None
+        if not isinstance(rows, list) or not all(
+            isinstance(row, list) and len(row) == 2 and all(isinstance(c, str) for c in row)
+            for row in rows
+        ):
+            raise ValueError(
+                'a map must be {"breakpoints": [[x, y], ...]} with x and y '
+                'rational strings such as "1/2"'
             )
-        )
+        return cls(tuple((parse_rational(x), parse_rational(y)) for x, y in rows))
 
 
 def constant_plm(value: Fraction) -> PiecewiseLinearMap:

@@ -11,15 +11,14 @@ interval with nonzero secant slope it either descends into halves of strictly
 larger absolute slope (when the midpoint leaves the secant) or scans deeper
 dyadic sub-intervals for a defect, certifying linearity on the sampled grid
 when none exists down to the depth budget.  The probe and
-:func:`secant_slopes` read an evaluator one dyadic level at a time, as int
-``(num, den)`` pairs at ``j / 2**L``, and compare them by cross-multiplication.
-A sawtooth is read through the fold of ``tent`` over ``2**L``; any other
-evaluator is called on ``Fraction(j, 2**L)``.  The defect scan keeps a
-sawtooth's level L as one flat row of those numerators, unreduced, so a
-midpoint m between neighbours a and b of level L-1 is off their secant iff
-``a + b != m``.  :func:`verify_commutation` reads a sawtooth and the tent
-(the 2-tooth fold) through the same fold at a Fraction sample ``j / d``.
-``Fraction``s appear only in returned values.  Everything is exact; no floats.
+:func:`secant_slopes` read an evaluator one dyadic level at a time, as one
+flat row of numerators over ``2**L``: a sawtooth through the int fold of
+``tent``, any other evaluator as ``g(Fraction(j, 2**L)) * 2**L`` (a
+``Fraction`` when the value is not dyadic).  Neighbours a and b of level L
+then have secant slope ``b - a``, and a midpoint m of level L+1 lies on
+their secant iff ``a + b == m``.  :func:`verify_commutation` reads a
+sawtooth and the tent (the 2-tooth fold) through the same fold at a
+Fraction sample ``j / d``.  Everything is exact; no floats.
 """
 
 from __future__ import annotations
@@ -142,7 +141,7 @@ def secant_slopes(g: Evaluator, n: int) -> list[Fraction]:
         raise ValueError(f"depth must be nonnegative, got {n}")
     check_depth(n, _SECANT_DEPTH_BOUND, "secant_slopes")
     values = _read(g, n, 0, (1 << n) + 1)
-    return [_secant(a, b, n) for a, b in zip(values, values[1:])]
+    return [Fraction(b - a) for a, b in zip(values, values[1:])]
 
 
 @dataclass(frozen=True)
@@ -183,26 +182,21 @@ class ProbeResult:
 
 
 def _read(g: Evaluator, level: int, lo: int, hi: int, step: int = 1) -> list:
-    """g at j / 2**level for j in range(lo, hi, step), as (num, den) int pairs.
+    """g at j / 2**level for j in range(lo, hi, step), as numerators over 2**level.
 
-    A sawtooth is read through the int fold over 2**level, unreduced; any
-    other evaluator is called on the reduced Fraction.
+    A sawtooth is read through the int fold over 2**level, so its row is
+    ints; any other evaluator is called on the reduced Fraction and its value
+    scaled by 2**level.
     """
     den = 1 << level
     if isinstance(g, _Sawtooth):
-        return [(y, den) for y in _fold_row(g.k, den, lo, hi, step)]
-    js = range(lo, hi, step)
-    return [(v.numerator, v.denominator) for v in [g(Fraction(j, den)) for j in js]]
-
-
-def _secant(a: tuple[int, int], b: tuple[int, int], level: int) -> Fraction:
-    """Secant slope between the values a and b at neighbouring level points."""
-    (an, ad), (bn, bd) = a, b
-    return Fraction((bn * ad - an * bd) << level, ad * bd)
+        return _fold_row(g.k, den, lo, hi, step)
+    return [g(Fraction(j, den)) * den for j in range(lo, hi, step)]
 
 
 def _slope(g: Evaluator, depth: int, index: int) -> Fraction:
-    return _secant(*_read(g, depth, index, index + 2), depth)
+    a, b = _read(g, depth, index, index + 2)
+    return Fraction(b - a)
 
 
 def _scan_for_defect(g: Evaluator, p: int, k: int, budget: int):
@@ -211,35 +205,19 @@ def _scan_for_defect(g: Evaluator, p: int, k: int, budget: int):
     Candidate depths run p+1 .. budget-1 (their midpoints live at depth
     <= budget); within a depth the smallest index wins.  Returns (depth,
     index) or None.  Levels are read one at a time so each grid point is
-    evaluated once; the defect a + b != 2*mid is tested by
-    cross-multiplying the int pairs.  A sawtooth level is one flat row of
-    numerators over 2**level, so there the test is a + b != mid.
+    evaluated once; a midpoint m between neighbours a and b of the level
+    above is off their secant iff a + b != m.
     """
-    if isinstance(g, _Sawtooth):
-        prev = _fold_row(g.k, 1 << p, k, k + 2)
-        for level in range(p + 1, budget + 1):
-            base = k << (level - p)
-            # the odd points of this level
-            mids = _fold_row(g.k, 1 << level, base + 1, base + (1 << (level - p)), 2)
-            if level >= p + 2 and list(map(add, prev, prev[1:])) != mids:
-                i = next(i for i, s in enumerate(map(add, prev, prev[1:])) if s != mids[i])
-                return (level - 1, (k << (level - 1 - p)) + i)
-            cur = prev + mids
-            cur[0::2] = [a << 1 for a in prev]
-            cur[1::2] = mids
-            prev = cur
-        return None
     prev = _read(g, p, k, k + 2)
     for level in range(p + 1, budget + 1):
         base = k << (level - p)
+        # the odd points of this level
         mids = _read(g, level, base + 1, base + (1 << (level - p)), 2)
-        if level >= p + 2:
-            half = k << (level - 1 - p)
-            for i, ((an, ad), (bn, bd), (mn, md)) in enumerate(zip(prev, prev[1:], mids)):
-                if (an * bd + bn * ad) * md != 2 * mn * ad * bd:
-                    return (level - 1, half + i)
+        if level >= p + 2 and list(map(add, prev, prev[1:])) != mids:
+            i = next(i for i, s in enumerate(map(add, prev, prev[1:])) if s != mids[i])
+            return (level - 1, (k << (level - 1 - p)) + i)
         cur = prev + mids
-        cur[0::2] = prev
+        cur[0::2] = map(add, prev, prev)
         cur[1::2] = mids
         prev = cur
     return None
@@ -252,9 +230,12 @@ def linearity_probe(
 
     ``depth_budget`` is the deepest dyadic interval level examined (grid
     points go one level further for midpoints).  The evaluator must commute
-    with the tent map on every dyadic it is asked about; a tie between the two
-    halves' absolute slopes under a nonzero defect is impossible for such
-    evaluators and is reported loudly rather than resolved.
+    with the tent map on every dyadic it is asked about.  If it also gives
+    one value per point, the halves' slopes sum to twice the parent's, so a
+    defect leaves one half strictly steeper with the parent's sign, and a
+    defect-free chain keeps its slope.  The three "cannot commute" refusals
+    guard against evaluators whose value at a point changes between reads;
+    they are reported loudly rather than resolved.
     """
     p, k = start
     if p < 0 or not (0 <= k < (1 << p)):
@@ -271,19 +252,17 @@ def linearity_probe(
             return ProbeResult("trace", p, k, t, tuple(trace), depth_budget)
         gl, gr = _read(g, p, k, k + 2)
         (gm,) = _read(g, p + 1, 2 * k + 1, 2 * k + 2)
-        (ln, ld), (rn, rd), (mn, md) = gl, gr, gm
-        if (ln * rd + rn * ld) * md != 2 * mn * ld * rd:
-            t_left = _secant(gl, gm, p + 1)
-            t_right = _secant(gm, gr, p + 1)
+        if gl + gr != gm:
+            t_left, t_right = gm - 2 * gl, 2 * gr - gm
             if abs(t_left) == abs(t_right):
                 raise ValueError(
                     "halves of equal absolute slope under a nonzero defect: "
                     "the evaluator cannot commute with the tent map"
                 )
             if abs(t_left) > abs(t_right):
-                k, t_new = 2 * k, t_left
+                k, t_new = 2 * k, Fraction(t_left)
             else:
-                k, t_new = 2 * k + 1, t_right
+                k, t_new = 2 * k + 1, Fraction(t_right)
             if t_new * t < 0 or abs(t_new) <= abs(t):
                 raise ValueError(
                     "refined slope failed to grow with matching sign: "

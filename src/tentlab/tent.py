@@ -58,6 +58,11 @@ def _require_unit_interval(x: Fraction, name: str = "x") -> None:
         raise ValueError(f"{name} must lie in [0, 1], got {x}")
 
 
+def _check_vertex(v: Fraction) -> None:
+    if not (0 < v < 1):
+        raise ValueError(f"vertex abscissa must lie in (0, 1), got {v}")
+
+
 def tent(x: Fraction) -> Fraction:
     """One step of the tent map, exactly."""
     _require_unit_interval(x)
@@ -90,8 +95,7 @@ def tent_digits(b):
 def skew_tent(x: Fraction, v: Fraction) -> Fraction:
     """Skew tent with vertex at (v, 1): x/v on [0, v], (1-x)/(1-v) after."""
     _require_unit_interval(x)
-    if not (0 < v < 1):
-        raise ValueError(f"vertex abscissa must lie in (0, 1), got {v}")
+    _check_vertex(v)
     if x <= v:
         return x / v
     return (1 - x) / (1 - v)
@@ -108,8 +112,7 @@ def inverse_branch(bit: int, y: Fraction, v: Fraction | None = None) -> Fraction
     _require_unit_interval(y, "y")
     if v is None:
         return y / 2 if bit == 0 else 1 - y / 2
-    if not (0 < v < 1):
-        raise ValueError(f"vertex abscissa must lie in (0, 1), got {v}")
+    _check_vertex(v)
     return v * y if bit == 0 else 1 - (1 - v) * y
 
 

@@ -293,6 +293,26 @@ class TestErrors:
         assert cp.returncode == 2
         assert "TENTLAB_MAX_DEPTH" in cp.stderr
 
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {},
+            [1, 2],
+            {"breakpoints": [[0, "0"], ["1", "1"]]},
+            {"breakpoints": [["1/2"], ["1", "1"]]},
+        ],
+        ids=["no-breakpoints", "not-an-object", "number-abscissa", "short-pair"],
+    )
+    def test_malformed_plm_is_usage_error(self, tmp_path, doc):
+        path = tmp_path / "plm.json"
+        path.write_text(json.dumps(doc))
+        cp = tentlab("sawtooth", "classify", "--plm", str(path), check=False)
+        assert cp.returncode == 2 and cp.stdout == ""
+        assert cp.stderr == (
+            'error: a map must be {"breakpoints": [[x, y], ...]} with x and y '
+            'rational strings such as "1/2"\n'
+        )
+
     def test_csv_table(self):
         cp = tentlab("conjugacy", "table", "--v", "1/4", "--n", "1", "--format", "csv")
         assert cp.stdout == "x,h\n0/1,0/1\n1/2,1/4\n1/1,1/1\n"

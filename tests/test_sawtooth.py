@@ -1,5 +1,6 @@
 import importlib
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -138,6 +139,15 @@ def probe_outcome(probe, g, start, budget):
         return probe(g, start, budget)
     except ValueError as exc:
         return (type(exc), str(exc))
+
+
+# evaluators whose values are not dyadic, read as Fraction numerators
+NON_DYADIC = {
+    "x/3": lambda x: x / 3,
+    "(x*x + x)/3": lambda x: (x * x + x) / 3,
+    "1 - x**3": lambda x: 1 - x**3,
+    "sawtooth_5/3": lambda x: sawtooth_eval(5, x) / 3,
+}
 
 
 class TestEval:
@@ -414,7 +424,7 @@ class TestProbe:
 
 
 class TestIntReader:
-    """The int-pair probe against the Fraction reference probe."""
+    """The numerator-row probe against the Fraction reference probe."""
 
     def test_probe_matches_reference(self):
         for k in range(1, 17):
@@ -425,6 +435,13 @@ class TestIntReader:
                         got = probe_outcome(linearity_probe, g, (p, i), budget)
                         want = probe_outcome(reference_linearity_probe, g, (p, i), budget)
                         assert got == want, (k, (p, i), budget)
+        for name, g in NON_DYADIC.items():
+            for p in range(3):
+                for i in range(1 << p):
+                    got = probe_outcome(linearity_probe, g, (p, i), 10)
+                    assert got == probe_outcome(reference_linearity_probe, g, (p, i), 10), (name, (p, i))
+                    if isinstance(got, ProbeResult):
+                        assert all(type(t) is Fraction for _, _, t in got.trace), (name, (p, i))
 
     def test_sawtooth_scan_matches_fraction_scan(self):
         # every start of depth <= 5 and every budget, so scans that find a
@@ -463,3 +480,63 @@ class TestIntReader:
                 want = [(1 << n) * (b - a) for a, b in zip(values, values[1:])]
                 assert secant_slopes(sawtooth(k), n) == want, (k, n)
                 assert secant_slopes(lambda x, g=sawtooth(k): g(x), n) == want, (k, n)
+        for name, g in NON_DYADIC.items():
+            for n in range(9):
+                values = [g(Fraction(j, 1 << n)) for j in range((1 << n) + 1)]
+                want = [(1 << n) * (b - a) for a, b in zip(values, values[1:])]
+                got = secant_slopes(g, n)
+                assert got == want and all(type(t) is Fraction for t in got), (name, n)
+
+
+def flaky(changes):
+    """The identity, except that from read ``n`` on, the point x reads ``y``
+    for each ``x: (n, y)`` in changes (reads counted per point, from 1)."""
+    reads = Counter()
+
+    def g(x):
+        reads[x] += 1
+        n, y = changes.get(x, (0, None))
+        return y if n and reads[x] >= n else x
+
+    return g
+
+
+class TestRefusals:
+    """An evaluator with one value per point cannot reach the probe's
+    refusals; one whose value at a point changes between reads can."""
+
+    @pytest.mark.parametrize(
+        "changes, budget, message",
+        [
+            # g(1) turns to 0, so the halves have slopes 1 and -1
+            (
+                {Fraction(1): (2, Fraction(0))},
+                4,
+                "halves of equal absolute slope under a nonzero defect",
+            ),
+            # g(1) turns to -1 and g(1/2) is 0: the steeper half has slope -2
+            (
+                {Fraction(1): (2, Fraction(-1)), HALF: (1, Fraction(0))},
+                4,
+                "refined slope failed to grow with matching sign",
+            ),
+            # g(1) turns to 1/2 and g(1/2) is 0: the steeper half has slope 1
+            (
+                {Fraction(1): (2, HALF), HALF: (1, Fraction(0))},
+                4,
+                "refined slope failed to grow with matching sign",
+            ),
+            # a defect at 1/8 sends the probe down the chain [0, 1/2],
+            # [0, 1/4]; by then g(1/2) reads 1, so [0, 1/2] has slope 2
+            (
+                {Fraction(1, 8): (1, Fraction(0)), HALF: (3, Fraction(1))},
+                3,
+                "slope changed across a defect-free refinement chain",
+            ),
+        ],
+    )
+    def test_changing_evaluator_is_refused(self, changes, budget, message):
+        # every case starts on [0, 1], where the identity has slope 1
+        want = (ValueError, f"{message}: the evaluator cannot commute with the tent map")
+        assert probe_outcome(linearity_probe, flaky(changes), (0, 0), budget) == want
+        assert probe_outcome(reference_linearity_probe, flaky(changes), (0, 0), budget) == want
