@@ -22,7 +22,12 @@ piece's length ``2**-n * sqrt(1 + slope**2)`` leaves its factor ``2**-n`` to
 the final sum: ``_term`` floors each piece count to 53 bits and rounds each
 term up to three times (the radicand's division, the square root, the
 product with the count), and graph length is the ``fsum`` of those doubles,
-so it need not be the double nearest the true length.  The explicit stream
+so it need not be the double nearest the true length.  The exact radicand
+``den**2 + slope_num**2`` has ~2n log2(q) bits, of which ~55 reach the double,
+so aggregate mode (``_certified_terms``) bounds each quotient by 64-bit
+truncations of ``slope_num`` and ``den`` instead: when both bounds round to
+one double, that is the double of the exact quotient, and otherwise the exact
+quotient is formed; either way the terms are ``_term``'s.  The explicit stream
 has ``2**n`` pieces but at most ``n + 1`` distinct slopes, so explicit graph
 length computes one double per distinct ``(count, slope_num)`` pair and hands
 it to ``fsum`` once per piece: the same doubles as a per-piece walk, and
@@ -219,13 +224,64 @@ def _term(count: int, num: int, den: int, shift: int) -> float:
     return math.ldexp((count >> drop) * root, e + drop + shift)
 
 
+def _quotient_bounds(s: int, sb: int, b: int, b1: int) -> tuple[int, int, int, int, int]:
+    """``(e2, lo_num, lo_den, hi_num, hi_den)`` with the radicand quotient
+    ``R = 1 + (s/den)**2`` enclosed as ``lo_num/lo_den <= R * 2**-e2 <= hi_num/hi_den``.
+
+    ``den`` lies in ``[b, b1] * 2**sb`` (its top 64 bits and their round-up);
+    ``s`` is truncated the same way to ``[a, a1] * 2**sa``, so ``s/den`` lies in
+    ``[a/b1, a1/b] * 2**(d2/2)`` with ``d2 = 2*(sa - sb)``, and every bound is
+    an int of at most ~256 bits instead of the ``den**2``-sized radicand.
+    """
+    sa = max(s.bit_length() - 64, 0)
+    a = s >> sa
+    a1 = a + (sa > 0)
+    d2 = 2 * (sa - sb)
+    if d2 <= -128:
+        # sb >= 64 puts b at 2**63 or more, so (s/den)**2 <= 2**-126
+        return 0, 1, 1, (1 << 126) + 1, 1 << 126
+    if d2 >= 128:
+        # R > (s/den)**2 below; above, 1 <= 2**d2 / b**2 as b < 2**64
+        return d2, a * a, b1 * b1, a1 * a1 + 1, b * b
+    up, down = max(d2, 0), max(-d2, 0)
+    lo_den, hi_den = b1 * b1 << down, b * b << down
+    return 0, lo_den + (a * a << up), lo_den, hi_den + (a1 * a1 << up), hi_den
+
+
+def _certified_terms(n: int, den: int, pieces):
+    """The aggregate pieces' doubles, each the one ``_term`` gives for
+    ``count * sqrt(1 + (s/den)**2) * 2**-n``.
+
+    Round-to-nearest is monotone, so when both ends of ``_quotient_bounds``
+    round to one double that is the double of the exact quotient; otherwise
+    the exact quotient is formed as ``_term`` forms it.  The even ``e2``
+    moves only the exponent, so the square root and the product with the
+    floored count round as in ``_term``.
+    """
+    sb = max(den.bit_length() - 64, 0)
+    b = den >> sb
+    b1 = b + (sb > 0)
+    den2 = den * den
+    for count, s in pieces:
+        e2, lo_num, lo_den, hi_num, hi_den = _quotient_bounds(s, sb, b, b1)
+        quotient = lo_num / lo_den
+        if quotient == hi_num / hi_den:
+            root, e = math.sqrt(quotient), e2 // 2
+        else:
+            root, e = _sqrt_parts(den2 + s * s, den2)
+        drop = max(count.bit_length() - 53, 0)
+        yield math.ldexp((count >> drop) * root, e + drop - n)
+
+
 def graph_length(n: int, v: Fraction, mode: str = "aggregate") -> float:
     """Length of the n-th iterate's graph.
 
     Each piece of width ``2**-n`` and slope s has length
     ``2**-n * sqrt(1 + s**2)``; explicit mode takes the slopes from the
     breakpoint table, aggregate mode from the binomial profile and reaches
-    depths no table could.  Radicands are exact ints, but the result is the
+    depths no table could.  Aggregate quotients ``1 + s**2`` are certified
+    from 64-bit truncations, with the exact quotient as fallback, so each is
+    the correctly rounded double of the exact one; the result is the
     ``fsum`` of per-term doubles: ``_term`` floors each count to 53 bits and
     rounds each term up to three times (division, square root, product), so
     the float can sit an ulp or two off the true length.  Explicit mode
@@ -234,15 +290,15 @@ def graph_length(n: int, v: Fraction, mode: str = "aggregate") -> float:
     double by its piece count instead would round differently.
     """
     den, pieces = _pieces(n, v, mode, "graph_length")
-    den2 = den * den
     if mode == "explicit":
+        den2 = den * den
         return math.fsum(
             chain.from_iterable(
                 repeat(_term(count, den2 + s * s, den2, -n), times)
                 for (count, s), times in Counter(pieces).items()
             )
         )
-    return math.fsum(_term(count, den2 + s * s, den2, -n) for count, s in pieces)
+    return math.fsum(_certified_terms(n, den, pieces))
 
 
 def _binomial_prefix(n: int, m: int) -> int:

@@ -83,7 +83,11 @@ class PiecewiseLinearMap:
                 'a map must be {"breakpoints": [[x, y], ...]} with x and y '
                 'rational strings such as "1/2"'
             )
-        return cls(tuple((parse_rational(x), parse_rational(y)) for x, y in rows))
+        try:
+            pts = tuple((parse_rational(x), parse_rational(y)) for x, y in rows)
+        except ZeroDivisionError as exc:
+            raise ValueError(str(exc)) from exc
+        return cls(pts)
 
 
 def constant_plm(value: Fraction) -> PiecewiseLinearMap:

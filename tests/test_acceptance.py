@@ -242,7 +242,15 @@ def test_09_length_diagnostic():
             assert abs(explicit - aggregate) <= 1e-12 * max(explicit, aggregate)
     deep = graph_length(200, F(1, 4), "aggregate")
     assert deep > 2 - 0.02
-    _passed(9, f"length increasing, bounded by 2, modes agree; n=200 gives {deep:.5f}")
+    started = time.time()
+    graph_length(10_000, F(99, 100), "aggregate")
+    elapsed = time.time() - started
+    assert elapsed < 1.0, f"budget 1s exceeded at the guard depth: {elapsed:.2f}s"
+    _passed(
+        9,
+        f"length increasing, bounded by 2, modes agree; n=200 gives {deep:.5f}; "
+        f"n=10000 in {elapsed:.2f}s",
+    )
 
 
 def test_10_slope_measure_diagnostic():

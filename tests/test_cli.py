@@ -313,6 +313,13 @@ class TestErrors:
             'rational strings such as "1/2"\n'
         )
 
+    def test_zero_denominator_in_plm_is_usage_error(self, tmp_path):
+        path = tmp_path / "plm.json"
+        path.write_text(json.dumps({"breakpoints": [["0", "1/0"], ["1", "1"]]}))
+        cp = tentlab("sawtooth", "classify", "--plm", str(path), check=False)
+        assert cp.returncode == 2 and cp.stdout == ""
+        assert cp.stderr == "error: zero denominator in '1/0'\n"
+
     def test_csv_table(self):
         cp = tentlab("conjugacy", "table", "--v", "1/4", "--n", "1", "--format", "csv")
         assert cp.stdout == "x,h\n0/1,0/1\n1/2,1/4\n1/1,1/1\n"

@@ -7,7 +7,9 @@ import pytest
 
 from tentlab import conjugacy
 from tentlab.conjugacy import (
+    _certified_terms,
     _pieces,
+    _quotient_bounds,
     _term,
     conjugacy_value,
     conjugate_point,
@@ -259,6 +261,12 @@ PINNED_LENGTHS = {
     (F(99, 100), 14, "explicit"): "0x1.feb396e4cadafp+0",
     (F(99, 100), 14, "aggregate"): "0x1.feb396e4cadafp+0",
     (F(99, 100), 1200, "aggregate"): "0x1.fffffffffffffp+0",
+    # the aggregate guard depth, read before the certified quotients went in
+    (F(1, 4), 10_000, "aggregate"): "0x1.fffffffffffffp+0",
+    (F(1, 3), 10_000, "aggregate"): "0x1.fffffffffffffp+0",
+    (F(7, 10), 10_000, "aggregate"): "0x1.fffffffffffffp+0",
+    (F(1, 2), 10_000, "aggregate"): "0x1.6a09e667f3bccp+0",
+    (F(99, 100), 10_000, "aggregate"): "0x1.fffffffffffffp+0",
 }
 
 
@@ -291,6 +299,79 @@ def test_explicit_graph_length_honours_piece_counts(monkeypatch):
     monkeypatch.setattr(conjugacy, "_pieces", lambda *args: (4, iter(pairs)))
     expected = math.fsum(_term(count, 16 + s * s, 16, -2) for count, s in pairs)
     assert graph_length(2, F(1, 4), "explicit").hex() == expected.hex()
+
+
+def certified_and_reference_terms(n, v, stride=1):
+    """Hex of every ``stride``-th aggregate term two ways: ``_certified_terms``
+    and ``_term`` on the exact radicand."""
+    den, pieces = _pieces(n, v, "aggregate", "graph_length")
+    pieces = list(itertools.islice(pieces, 0, None, stride))
+    den2 = den * den
+    expected = [_term(count, den2 + s * s, den2, -n).hex() for count, s in pieces]
+    return [t.hex() for t in _certified_terms(n, den, pieces)], expected
+
+
+SWEEP_DEPTHS = (*range(41), 100, 200, 1200)
+
+
+@pytest.mark.parametrize("q", range(2, 24))
+def test_certified_terms_match_exact_radicands(q):
+    for p in range(1, q):
+        if math.gcd(p, q) == 1:
+            for n in SWEEP_DEPTHS:
+                got, expected = certified_and_reference_terms(n, F(p, q))
+                assert got == expected, (p, q, n)
+
+
+@pytest.mark.parametrize("v", [F(1, 4), F(1, 3), F(7, 10), F(1, 2), F(99, 100)])
+def test_certified_terms_match_at_guard_depth(v):
+    got, expected = certified_and_reference_terms(10_000, v, stride=97)
+    assert got == expected
+
+
+def test_certified_terms_fall_back_to_exact_quotient(monkeypatch):
+    # one class of v = 5/16 at n = 16 has bounds that round apart
+    calls = []
+    exact = conjugacy._sqrt_parts
+
+    def counted(num, den):
+        calls.append(num)
+        return exact(num, den)
+
+    monkeypatch.setattr(conjugacy, "_sqrt_parts", counted)
+    got, expected = certified_and_reference_terms(16, F(5, 16))
+    assert calls and got == expected
+
+
+def test_quotient_bounds_enclose_radicand_quotient():
+    cases = []
+    # 64-bit tops (all ones, a lone top bit, arbitrary) over low bits that are
+    # all ones or all zeros (an exact truncation), at d2 = 2*(sa - sb) from
+    # -130 to 128
+    tops = ((1 << 64) - 1, 1 << 63, 0xB504F333F9DE6484)
+    for sb in (0, 64, 100):
+        for diff in (-65, -64, -1, 0, 63, 64):
+            sa = sb + diff
+            if sa < 0:
+                continue
+            for den_top, s_top in itertools.product(tops, repeat=2):
+                for ones in (True, False):
+                    s_low = (1 << sa) - 1 if ones else 0
+                    den_low = (1 << sb) - 1 if ones else 0
+                    cases.append(((s_top << sa) | s_low, (den_top << sb) | den_low))
+    cases += [(1, 1 << 200), (3, 5), ((1 << 70) + 1, 7)]
+    seen = set()
+    for s, den in cases:
+        sb = max(den.bit_length() - 64, 0)
+        b = den >> sb
+        e2, lo_num, lo_den, hi_num, hi_den = _quotient_bounds(s, sb, b, b + (sb > 0))
+        den2 = den * den
+        quotient = F(den2 + s * s, den2) / F(2) ** e2
+        assert F(lo_num, lo_den) <= quotient <= F(hi_num, hi_den), (s, den)
+        seen.add(2 * (max(s.bit_length() - 64, 0) - sb))
+        (term,) = _certified_terms(0, den, [(1, s)])
+        assert term.hex() == _term(1, den2 + s * s, den2, 0).hex(), (s, den)
+    assert {-130, -128, 0, 126, 128} <= seen
 
 
 def reference_graph_length(n, v):
