@@ -77,11 +77,21 @@ class ContinuationSolution:
         return min(c or self.modulus for c in self.classes)
 
 
+def _residue(prob: ContinuationProblem) -> tuple[int, int]:
+    """(k0, 2**n) with k0*(2s+1) = p (mod 2**n)."""
+    modulus = 1 << prob.n
+    return prob.p * pow(2 * prob.s + 1, -1, modulus) % modulus, modulus
+
+
+def _least_witness(prob: ContinuationProblem) -> int:
+    """``solve_k0(prob).smallest_witness()`` without building the solution."""
+    k0, modulus = _residue(prob)
+    return min(k0, modulus - k0) or modulus
+
+
 def solve_k0(prob: ContinuationProblem) -> ContinuationSolution:
     """Residue k0 with k0*(2s+1) = p (mod 2**n); matching k are +/-k0."""
-    modulus = 1 << prob.n
-    inverse = pow(2 * prob.s + 1, -1, modulus)
-    k0 = (prob.p * inverse) % modulus
+    k0, modulus = _residue(prob)
     return ContinuationSolution(
         k0=k0, modulus=modulus, classes=frozenset({k0, (-k0) % modulus})
     )
@@ -141,7 +151,7 @@ def continuable_from_point(prob: ContinuationProblem) -> CommutingTable:
     (the class of 0 mod 2**n is realized by k = 2**n, the constant-0
     restriction).
     """
-    k = solve_k0(prob).smallest_witness()
+    k = _least_witness(prob)
     table = sawtooth_restriction(prob.n, k)
     if table.values.row[prob.alpha.numerator] != 3 * prob.p:
         raise AssertionError(
@@ -169,7 +179,7 @@ def is_tent_continuable(t: CommutingTable) -> ContinuationVerdict:
             return ContinuationVerdict(continuable=True, constant=c)
     alpha = Fraction(1, 1 << (t.n - 1))
     try:
-        k = solve_k0(ContinuationProblem(t.n, alpha, t.values.get(alpha))).smallest_witness()
+        k = _least_witness(ContinuationProblem(t.n, alpha, t.values.get(alpha)))
     except (AttributeError, ValueError):
         # no value at alpha, or one off the grid: no sawtooth takes it there
         return ContinuationVerdict(continuable=False)

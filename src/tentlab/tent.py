@@ -16,14 +16,16 @@ commuting table can take, is ``j / D`` with ``D = 3 * 2**(n-1)`` and
 ``0 <= j <= D``: kind ``A`` is ``j = 0 mod 3``, kind ``B`` is ``j = 1, 2 mod
 3`` and kind ``F`` is every ``j``, in increasing order, so index ``j`` of the
 kind-F points is ``j / D``.  On numerators the tent map is ``j -> 2j`` or
-``2D - 2j``, the 2-tooth case of the sawtooth fold ``_fold`` (row form
-``_fold_row``) that every layer folding on ints calls, and its inverse
-branches are ``j -> j/2`` and ``D - j/2``.  The preimage generators work on
-these ints: a :class:`PreimageSet` stores ``D`` and its increasing
-numerators, checks them as ints, and builds its ``points`` as Fractions only
-on first access.  A commuting table is stored
-as its row of numerators in grid order, read through a view of the kind-F
-points.
+``2D - 2j``, the 2-tooth case of the sawtooth fold ``_fold`` that every
+layer folding on ints calls, and its inverse branches are ``j -> j/2`` and
+``D - j/2``.  The row form ``_fold_row`` reads the fold on an arithmetic
+progression of numerators; between two tooth edges the fold is itself an
+arithmetic progression, so a row is a few ``range`` runs, not a call per
+point.  The preimage generators work on these ints: a :class:`PreimageSet`
+stores ``D`` and its increasing numerators, checks them as ints, and builds
+its ``points`` as Fractions only on first access.  A commuting table is
+stored as its row of numerators in grid order, read through a view of the
+kind-F points.
 
 Addresses.  A word ``(j1, ..., jm)`` names the point obtained by feeding a
 base point through the inverse branches with ``j1`` applied first (innermost).
@@ -185,10 +187,33 @@ def _fold(k: int, num: int, den: int) -> int:
 
 
 def _fold_row(k: int, den: int, start: int, stop: int, step: int = 1) -> list[int]:
-    """``[_fold(k, j, den) for j in range(start, stop, step)]``, without a call
-    per element (k >= 1, step >= 1)."""
-    wrap = den << 1
-    return [den - abs(t % wrap - den) for t in range(k * start, k * stop, k * step)]
+    """``[_fold(k, j, den) for j in range(start, stop, step)]``, built run by
+    run (k >= 1, step >= 1).
+
+    The points t = k*j advance by the stride k*step.  Between two tooth
+    edges (multiples of den) the fold is ``t - h*den`` on a rising half-tooth
+    (h = t // den even) and ``(h+1)*den - t`` on a falling one, so each run
+    is one range appended at C speed.  Runs shorter than about 8 points cost
+    more than they save, so rows with den < 8 * stride fold point by point.
+    """
+    stride = k * step
+    points = range(k * start, k * stop, stride)
+    if den < 8 * stride:
+        wrap = den << 1
+        return [den - abs(t % wrap - den) for t in points]
+    row = []
+    t, end = points.start, points.stop
+    while t < end:
+        h = t // den
+        edge = (h + 1) * den
+        lim = edge if edge < end else end
+        if h & 1:
+            row += range(edge - t, edge - lim, -stride)
+        else:
+            row += range(t - edge + den, lim - edge + den, stride)
+        # the first point at or past lim
+        t -= (t - lim) // stride * stride
+    return row
 
 
 def _closed_form_numerators(n: int, kind: str) -> tuple[int, ...]:

@@ -171,6 +171,13 @@ class TestSolver:
             sol = solve_k0(prob)
             assert (sol.k0 * (2 * prob.s + 1) - prob.p) % sol.modulus == 0
 
+    def test_least_witness_matches_solution(self):
+        # the witness continuable_from_point and is_tent_continuable read,
+        # against the solution object's
+        for n in range(1, 9):
+            for prob in all_problems(n):
+                assert continuation._least_witness(prob) == solve_k0(prob).smallest_witness()
+
 
 class TestMatches:
     def test_examples(self):

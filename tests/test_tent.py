@@ -296,3 +296,41 @@ def test_fold_matches_sawtooth_and_tent():
         for j in range(den + 1):
             # the tent on lattice numerators is the 2-tooth fold
             assert _fold(2, j, den) == tent(Fraction(j, den)) * den, (n, j)
+
+
+def test_fold_row_matches_fold_at_scale():
+    # Rows whose runs (points between two tooth edges) are short and long, on
+    # both sides of the run path's threshold den >= 8*k*step.
+    def check(k, den, start, stop, step):
+        row = _fold_row(k, den, start, stop, step)
+        assert row == [_fold(k, j, den) for j in range(start, stop, step)], (k, den, start, step)
+        return row
+
+    for den in (1 << 18, 3 << 8):
+        for step in (1, 2, 3):
+            for run in (1, 3, 7, 8, 9, 1 << 14):
+                base = max(1, den // (run * step))
+                for k in (base, base + 1):
+                    span = 4 * run * step + 5
+                    for start in (0, 5, den // k + 1):
+                        check(k, den, start, start + span, step)
+    # k up to 2**40, with short runs and with runs of 2**14 points
+    for k in ((1 << 40) - 1, 1 << 40):
+        check(k, 1 << 18, 3, 3 + 500, 1)
+        check(k, 3 << 55, 7, 7 + (3 << 16), 2)
+    # rows through and starting on the edges r = 0 and r = den
+    den, k = 1 << 18, 1 << 12
+    assert check(k, den, 0, 3 * 64 + 1, 1)[::64] == [0, den, 0, den]
+    for start, stop in ((64, 2 * 64), (64, 64 + 1)):
+        assert check(k, den, start, stop, 1)[0] == den
+    assert check(k, den, 1, 64, 1)[-1] == den - k
+    # the last point lies past an edge that is less than one stride from the end
+    assert check(1, 64, 2, 66, 3)[-1] == 63
+    # empty ranges
+    for start, stop in ((5, 5), (9, 5)):
+        assert _fold_row(3, 1 << 18, start, stop) == [] == _fold_row(3, 5, start, stop)
+    # k = 0 and step = 0 stay errors, as range(..., 0) is
+    for k, step in ((0, 1), (3, 0)):
+        for den, start, stop in ((1 << 18, 0, 10), (1 << 18, 5, 5), (5, 0, 10)):
+            with pytest.raises(ValueError):
+                _fold_row(k, den, start, stop, step)
