@@ -9,7 +9,10 @@ With ``v = p/q`` in lowest terms and ``r = q - p``, all the n-th iterate
 carries lies on the lattice ``N / q**n``: its ordinates, its piece slopes
 (``2**n`` times a rise) and the skew tent's preimages of 1 down to depth n.
 So the hot paths run on integer numerators over ``den = q**n``, and Fractions
-are built only for returned values.
+are built only for returned values.  The explicit paths (``iterate_to``,
+explicit ``_pieces`` and ``density_probe``) share one cached ordinate table,
+the last ``(n, v)`` asked for; that entry holds ``2**n + 1`` ints until the
+next ``(n, v)``.
 
 Both diagnostics, graph length and the measure of steep pieces, are sums over
 the ``2**n`` dyadic pieces of the n-th iterate, and ``_pieces`` is the one
@@ -33,7 +36,8 @@ length computes one double per distinct ``(count, slope_num)`` pair and hands
 it to ``fsum`` once per piece: the same doubles as a per-piece walk, and
 ``fsum`` rounds their exact sum once, whatever their order.  The aggregate slope
 measure skips the walk: the slope is monotone in ``a``, so it bisects for
-the threshold crossing and sums a binomial tail.
+the threshold crossing and sums a binomial tail in Pascal pairs, two classes
+per big-int step.
 
 Everything exact stays exact: tables, slope measures and gap statistics are
 Fractions; only graph length (an honest irrational) is returned as a float.
@@ -45,8 +49,9 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import chain, repeat
-from operator import sub
+from operator import lshift, sub
 from typing import Sequence
 
 from .limits import check_depth
@@ -103,22 +108,34 @@ def h_step(cur: ConjugacyIterate) -> ConjugacyIterate:
     return ConjugacyIterate(n=cur.n + 1, v=v, ordinates=tuple(new))
 
 
-def _ordinates(n: int, v: Fraction) -> tuple[list[int], int]:
+def _ordinates(n: int, v: Fraction) -> tuple[tuple[int, ...], int]:
     """The n-th iterate's ordinates as numerators over ``den = q**n``.
 
-    ``h_step`` on the lattice: the left half is ``p*y`` and the right half
-    ``den' - r*y`` read backwards, over the next denominator ``den' = q*den``.
+    Every explicit path reads its table here.  The guards run on every call,
+    before the lookup; the table comes from ``_ordinate_table``, which keeps
+    only the last ``(n, v)`` asked for, as ``2**n + 1`` ints held until the
+    next ``(n, v)``.
     """
     check_depth(n, _EXPLICIT_BOUND, "iterate_to")
     _check_vertex(v)
     _check_index(n)
-    p, q = v.numerator, v.denominator
+    return _ordinate_table(n, v.numerator, v.denominator)
+
+
+@lru_cache(maxsize=1)
+def _ordinate_table(n: int, p: int, q: int) -> tuple[tuple[int, ...], int]:
+    """``h_step`` on the lattice: the left half is ``p*y`` and the right half
+    ``den' - r*y`` read backwards, over the next denominator ``den' = q*den``.
+
+    Keyed on ints, not on ``v``: a float equal to a Fraction hashes alike and
+    must still fail in ``_ordinates``.
+    """
     r = q - p
     ys, den = [0, 1], 1
     for _ in range(n):
         den *= q
         ys = [p * y for y in ys] + [den - r * y for y in reversed(ys[:-1])]
-    return ys, den
+    return tuple(ys), den
 
 
 def iterate_to(n: int, v: Fraction) -> ConjugacyIterate:
@@ -184,7 +201,7 @@ def _pieces(n: int, v: Fraction, mode: str, caller: str):
     _check_index(n)
     if mode == "explicit":
         ys, den = _ordinates(n, v)
-        return den, ((1, (y1 - y0) << n) for y0, y1 in zip(ys, ys[1:]))
+        return den, zip(repeat(1), map(lshift, map(sub, ys[1:], ys), repeat(n)))
     if mode != "aggregate":
         raise ValueError(f"mode must be 'explicit' or 'aggregate', got {mode!r}")
     check_depth(n, _AGGREGATE_BOUND, f"{caller}[aggregate]")
@@ -302,11 +319,18 @@ def graph_length(n: int, v: Fraction, mode: str = "aggregate") -> float:
 
 
 def _binomial_prefix(n: int, m: int) -> int:
-    """sum of C(n, b) for b < m."""
-    total, count = 0, 1
-    for b in range(m):
+    """sum of C(n, b) for b < m, in Pascal pairs.
+
+    ``C(n, b) + C(n, b+1) = C(n+1, b+1)``, so each step adds one odd
+    ``C(n+1, b+1)`` for two classes and moves on to ``C(n+1, b+3)``; an odd
+    m leaves ``C(n, m-1) = C(n+1, m) * m / (n+1)`` over.
+    """
+    total, count = 0, n + 1
+    for b in range(0, m - 1, 2):
         total += count
-        count = count * (n - b) // (b + 1)
+        count = count * ((n - b) * (n - b - 1)) // ((b + 2) * (b + 3))
+    if m & 1:
+        total += count * m // (n + 1)
     return total
 
 

@@ -186,12 +186,16 @@ def _read(g: Evaluator, level: int, lo: int, hi: int, step: int = 1) -> list:
 
     A sawtooth is read through the int fold over 2**level, so its row is
     ints; any other evaluator is called on the reduced Fraction and its value
-    scaled by 2**level.
+    scaled by 2**level, an integral Fraction read as its int numerator.
     """
     den = 1 << level
     if isinstance(g, _Sawtooth):
         return _fold_row(g.k, den, lo, hi, step)
-    return [g(Fraction(j, den)) * den for j in range(lo, hi, step)]
+    scaled = (g(Fraction(j, den)) * den for j in range(lo, hi, step))
+    return [
+        y.numerator if isinstance(y, Fraction) and y.denominator == 1 else y
+        for y in scaled
+    ]
 
 
 def _slope(g: Evaluator, depth: int, index: int) -> Fraction:

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 from decimal import Decimal, localcontext
@@ -7,7 +8,11 @@ import pytest
 
 from tentlab import conjugacy
 from tentlab.conjugacy import (
+    ConjugacyIterate,
+    DensityReport,
+    _binomial_prefix,
     _certified_terms,
+    _ordinates,
     _pieces,
     _quotient_bounds,
     _term,
@@ -230,6 +235,50 @@ class TestSlopeMeasure:
             slope_measure(5, F(1, 4), F(1))
         with pytest.raises(DepthLimitError, match="^iterate_to"):
             slope_measure(5, F(1, 4), F(1), "explicit")
+
+
+def reference_binomial_prefix(n, m):
+    """sum of C(n, b) for b < m, one class per step: the tail before Pascal pairs."""
+    total, count = 0, 1
+    for b in range(m):
+        total += count
+        count = count * (n - b) // (b + 1)
+    return total
+
+
+def test_binomial_prefix_matches_single_steps():
+    for n in range(65):
+        for m in range(n + 2):
+            assert _binomial_prefix(n, m) == reference_binomial_prefix(n, m), (n, m)
+    for m in (0, 1, 2, 1845, 3690, 3691, 5000, 5001):
+        assert _binomial_prefix(10_000, m) == reference_binomial_prefix(10_000, m), m
+
+
+# sha256 of str(slope_measure(10_000, v, threshold)) as computed with the
+# one-class-per-step tail, before the Pascal pairs went in
+PINNED_DEEP_MEASURES = {
+    (F(1, 4), F(1, 2)): "6f5888aaea43b1c71d9d42e783538f6a39b6e91ae1a377346b5f54ae1b13290b",
+    (F(1, 4), F(1)): "f8264e8d94946c5224e319387cfb4cfa0d92d18348626d08b440553b6f133bc9",
+    (F(1, 4), F(2)): "f8264e8d94946c5224e319387cfb4cfa0d92d18348626d08b440553b6f133bc9",
+    (F(1, 3), F(1, 2)): "17069421832a594f553b195553e5f639e35cc8cec2dc827c0203e3e32aa25d1b",
+    (F(1, 3), F(1)): "70ed277c78fad1fa4b730ec3436bcaaf2e683495590cf5a9ca67b9aa44ec9110",
+    (F(1, 3), F(2)): "4c5b890c9811b7b529a70601cefe8565916b24e0e46d7273a2588f1318321dc0",
+    (F(7, 10), F(1, 2)): "c1250629c9b48da7fe7b0c5ce69cceced31e1d662023b6cd01921fd4ef7c1f96",
+    (F(7, 10), F(1)): "c1250629c9b48da7fe7b0c5ce69cceced31e1d662023b6cd01921fd4ef7c1f96",
+    (F(7, 10), F(2)): "5b4c084afed6a3ab104d3fd444bdd32b303769c36fed3b217cd5071ca31df4d3",
+    (F(1, 2), F(1, 2)): "6b86b273ff34fce19d6b804eff5a3f5747ada4eaa22f1d49c01e52ddb7875b4b",
+    (F(1, 2), F(1)): "6b86b273ff34fce19d6b804eff5a3f5747ada4eaa22f1d49c01e52ddb7875b4b",
+    (F(1, 2), F(2)): "5feceb66ffc86f38d952786c6d696c79c2dbc239dd4e91b46729d73a27fb57e9",
+    (F(99, 100), F(1, 2)): "bde362a740cf6a1551f9222d1d59abe2e0a62b1a0dda1c1abbcb671b2494f2f6",
+    (F(99, 100), F(1)): "bde362a740cf6a1551f9222d1d59abe2e0a62b1a0dda1c1abbcb671b2494f2f6",
+    (F(99, 100), F(2)): "bde362a740cf6a1551f9222d1d59abe2e0a62b1a0dda1c1abbcb671b2494f2f6",
+}
+
+
+@pytest.mark.parametrize("v, threshold", PINNED_DEEP_MEASURES)
+def test_slope_measure_pinned_at_guard_depth(v, threshold):
+    measure = str(slope_measure(10_000, v, threshold))
+    assert hashlib.sha256(measure.encode()).hexdigest() == PINNED_DEEP_MEASURES[(v, threshold)]
 
 
 def reference_slope_classes(n, v):
@@ -465,3 +514,87 @@ class TestDensity:
                 assert (report.points, report.max_gap) == (len(pts), max(gaps)), (v, depth)
                 level = {v * y for y in level} | {1 - (1 - v) * y for y in level}
                 seen |= level
+
+
+def reference_ordinates(n, v):
+    """The n-th iterate's numerators over q**n, rebuilt on every call: the
+    builder behind the cached ordinate table."""
+    p, q = v.numerator, v.denominator
+    r = q - p
+    ys, den = [0, 1], 1
+    for _ in range(n):
+        den *= q
+        ys = [p * y for y in ys] + [den - r * y for y in reversed(ys[:-1])]
+    return ys, den
+
+
+def reference_diagnostics(n, v):
+    """What ``DIAGNOSTICS`` return at (n, v), all from ``reference_ordinates``."""
+    ys, den = reference_ordinates(n, v)
+    slopes = [(y1 - y0) << n for y0, y1 in zip(ys, ys[1:])]
+    den2 = den * den
+    length = math.fsum(_term(1, den2 + s * s, den2, -n) for s in slopes)
+    measures = tuple(
+        F(sum(s * t.denominator >= t.numerator * den for s in slopes), 1 << n)
+        for t in THRESHOLDS
+    )
+    gap = F(max(b - a for a, b in zip(ys, ys[1:])), den)
+    return (
+        ConjugacyIterate(n=n, v=v, ordinates=tuple(F(y, den) for y in ys)),
+        length.hex(),
+        measures,
+        DensityReport(v=v, depth=n, points=len(ys) - 1, max_gap=gap),
+    )
+
+
+THRESHOLDS = (F(1, 2), F(1), F(2))
+DIAGNOSTICS = (
+    iterate_to,
+    lambda n, v: graph_length(n, v, "explicit").hex(),
+    lambda n, v: tuple(slope_measure(n, v, t, "explicit") for t in THRESHOLDS),
+    lambda n, v: density_probe(v, n),
+)
+
+
+class TestOrdinateCache:
+    @pytest.mark.parametrize("a, b", itertools.combinations(VS, 2))
+    def test_interleaved_vertices_match_uncached_builder(self, a, b):
+        expected = {(n, v): reference_diagnostics(n, v) for n in range(13) for v in (a, b)}
+        # each vertex's four diagnostics in turn, then a vertex switch at every call
+        for n in range(13):
+            for v in (a, b):
+                for i, diagnostic in enumerate(DIAGNOSTICS):
+                    assert diagnostic(n, v) == expected[(n, v)][i], (n, v, i)
+        for n in range(13):
+            for i, diagnostic in enumerate(DIAGNOSTICS):
+                for v in (b, a):
+                    assert diagnostic(n, v) == expected[(n, v)][i], (n, v, i)
+
+    def test_depth_guard_runs_before_the_cached_table(self, monkeypatch):
+        v = F(1, 4)
+        iterate_to(5, v)
+        graph_length(5, v, "explicit")
+        density_probe(v, 5)
+        monkeypatch.setenv("TENTLAB_MAX_DEPTH", "4")
+        with pytest.raises(DepthLimitError, match="^iterate_to"):
+            iterate_to(5, v)
+        with pytest.raises(DepthLimitError, match="^iterate_to"):
+            slope_measure(5, v, F(1), "explicit")
+        with pytest.raises(DepthLimitError, match="^iterate_to"):
+            graph_length(5, v, "explicit")
+        with pytest.raises(DepthLimitError, match="^density_probe"):
+            density_probe(v, 5)
+
+    def test_float_vertex_fails_after_equal_fraction_is_cached(self):
+        # 0.25 == F(1, 4) and hashes alike, so a cache keyed on v would hit
+        iterate_to(3, F(1, 4))
+        with pytest.raises(AttributeError, match="numerator"):
+            _ordinates(3, 0.25)
+
+    def test_explicit_stream_matches_generator_expression(self):
+        for v in VS + (F(1, 2), F(99, 100)):
+            for n in range(13):
+                ys, den = reference_ordinates(n, v)
+                got_den, stream = _pieces(n, v, "explicit", "test")
+                assert got_den == den
+                assert list(stream) == [(1, (y1 - y0) << n) for y0, y1 in zip(ys, ys[1:])], (v, n)
